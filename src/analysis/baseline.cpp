@@ -1,34 +1,54 @@
 #include "analysis/baseline.h"
 
+#include <cctype>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
+#include <fstream>
+#include <sstream>
 
 namespace minjie::analysis {
+
+namespace {
+
+/** Exactly the 16 hex digits write() emits. */
+bool
+isFingerprint(const std::string &s)
+{
+    if (s.size() != 16)
+        return false;
+    for (char c : s)
+        if (!std::isxdigit(static_cast<unsigned char>(c)))
+            return false;
+    return true;
+}
+
+} // namespace
 
 bool
 Baseline::load(const std::string &path)
 {
     entries_.clear();
-    FILE *f = std::fopen(path.c_str(), "r");
-    if (!f)
+    std::ifstream in(path);
+    if (!in)
         return true; // no baseline == empty baseline
-    char line[1024];
-    while (std::fgets(line, sizeof(line), f)) {
-        char rule[64], file[512];
-        uint64_t fp = 0;
-        if (line[0] == '#' || line[0] == '\n')
-            continue;
-        if (std::sscanf(line, "%63s %511s %16" SCNx64, rule, file, &fp) !=
-            3)
-            continue;
+    std::string line;
+    while (std::getline(in, line)) {
+        std::istringstream fields(line);
+        std::string rule, file, fp, rest;
+        if (!(fields >> rule) || rule[0] == '#')
+            continue; // blank or comment line
+        fields >> file >> fp; // a missing field leaves fp empty
+        bool trailing = (fields >> rest) && rest[0] != '#';
+        if (!isFingerprint(fp) || trailing) {
+            entries_.clear();
+            return false;
+        }
         Entry e;
         e.ruleId = rule;
         e.path = file;
-        e.fingerprint = fp;
+        e.fingerprint = std::stoull(fp, nullptr, 16);
         entries_.push_back(std::move(e));
     }
-    std::fclose(f);
     return true;
 }
 

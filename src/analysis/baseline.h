@@ -28,8 +28,10 @@ namespace minjie::analysis {
 class Baseline
 {
   public:
-    /** Load @p path. Missing file == empty baseline (returns true);
-     *  malformed lines are skipped. */
+    /** Load @p path. Missing file == empty baseline (returns true).
+     *  A line that does not parse (missing field, fingerprint not 16
+     *  hex digits, trailing text outside a comment) returns false and
+     *  leaves the baseline empty. */
     bool load(const std::string &path);
 
     /** Serialize @p findings as a baseline file at @p path. */

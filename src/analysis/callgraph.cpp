@@ -36,33 +36,23 @@ scopeContains(const std::string &outer, const std::string &inner)
 void
 ProgramModel::build(const std::vector<TuIndex> &tus)
 {
-    std::vector<const TuIndex *> ptrs;
-    ptrs.reserve(tus.size());
-    for (const TuIndex &tu : tus)
-        ptrs.push_back(&tu);
-    build(ptrs);
-}
-
-void
-ProgramModel::build(const std::vector<const TuIndex *> &tus)
-{
     nodes_.clear();
     byName_.clear();
     unordered_.clear();
     unorderedByTu_.clear();
     varTypes_.clear();
 
-    for (const TuIndex *tu : tus) {
-        for (const std::string &n : tu->unorderedNames) {
+    for (const TuIndex &tu : tus) {
+        for (const std::string &n : tu.unorderedNames) {
             unordered_.insert(n);
-            unorderedByTu_[tu->path].insert(n);
+            unorderedByTu_[tu.path].insert(n);
         }
-        for (const auto &[var, type] : tu->varTypes)
+        for (const auto &[var, type] : tu.varTypes)
             varTypes_[var].insert(type);
-        for (const FunctionIndex &fn : tu->functions) {
+        for (const FunctionIndex &fn : tu.functions) {
             Node node;
             node.fn = &fn;
-            node.path = tu->path;
+            node.path = tu.path;
             nodes_.push_back(std::move(node));
         }
     }

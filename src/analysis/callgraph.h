@@ -37,8 +37,7 @@ struct Edge
 
 /** One function definition in the merged program. Holds a pointer
  *  into the TuIndexes passed to build(), which must outlive the
- *  model — copying every FunctionIndex would double the warm-run
- *  cost of the incremental cache. */
+ *  model. */
 struct Node
 {
     const FunctionIndex *fn = nullptr;
@@ -49,12 +48,9 @@ struct Node
 class ProgramModel
 {
   public:
-    /** Merge @p tus (any order) into a deterministic graph. */
+    /** Merge @p tus (any order) into a deterministic graph; @p tus
+     *  must outlive the model. */
     void build(const std::vector<TuIndex> &tus);
-
-    /** Zero-copy variant: @p tus must outlive the call (the graph
-     *  still copies what it keeps; only the pass-in copy is saved). */
-    void build(const std::vector<const TuIndex *> &tus);
 
     const std::vector<Node> &nodes() const { return nodes_; }
 

@@ -6,6 +6,7 @@
 
 #include "analysis/baseline.h"
 #include "analysis/callgraph.h"
+#include "analysis/index.h"
 #include "analysis/suppress.h"
 
 namespace minjie::analysis {
@@ -87,6 +88,17 @@ collectFiles(const EngineConfig &cfg)
     return out;
 }
 
+/** Everything the engine learns about one file. */
+struct Engine::FileResult
+{
+    explicit FileResult(Suppressions s) : sup(std::move(s)) {}
+
+    Suppressions sup;
+    std::vector<Finding> findings; ///< per-file, post-inline-suppression
+    uint64_t suppressedInline = 0;
+    TuIndex index;
+};
+
 Engine::Engine(EngineConfig cfg)
     : cfg_(std::move(cfg)), rules_(makeDefaultRules()),
       graphRules_(makeGraphRules())
@@ -104,11 +116,25 @@ Engine::idSelected(std::string_view id) const
     return false;
 }
 
+std::vector<std::string>
+Engine::unknownRules() const
+{
+    std::vector<std::string> out;
+    for (const std::string &id : cfg_.onlyRules) {
+        bool known = id == "MJ-SUP-001";
+        for (const auto &rule : rules_)
+            known = known || rule->id() == id;
+        for (const auto &gr : graphRules_)
+            known = known || gr->id() == id;
+        if (!known)
+            out.push_back(id);
+    }
+    return out;
+}
+
 bool
 Engine::ruleApplies(const Rule &r, const std::string &relPath) const
 {
-    if (cfg_.ignoreScopes)
-        return true;
     for (const std::string &ex : r.exemptFiles())
         if (relPath == ex)
             return false;
@@ -121,13 +147,9 @@ Engine::ruleApplies(const Rule &r, const std::string &relPath) const
     return false;
 }
 
-CachedTu
+Engine::FileResult
 Engine::lintOneFile(const SourceFile &file) const
 {
-    CachedTu tu;
-    tu.path = file.path();
-    tu.hash = fnv1a(file.text());
-
     LexResult lexed = lex(file);
     RuleContext ctx{file, lexed.tokens, lexed.comments};
 
@@ -141,122 +163,45 @@ Engine::lintOneFile(const SourceFile &file) const
     // Suppression directives apply to rule findings; malformed
     // directives become findings themselves (never suppressible).
     std::vector<Finding> supDiags;
-    Suppressions sup(file.path(), lexed.comments, file, supDiags);
-    tu.supEntries = sup.entries();
+    FileResult res(Suppressions(file.path(), lexed.comments, file, supDiags));
     for (Finding &f : fileFindings) {
-        if (sup.allows(f.line, f.ruleId))
-            ++tu.suppressedInline;
+        if (res.sup.allows(f.line, f.ruleId))
+            ++res.suppressedInline;
         else
-            tu.findings.push_back(std::move(f));
+            res.findings.push_back(std::move(f));
     }
     if (idSelected("MJ-SUP-001"))
         for (Finding &f : supDiags)
-            tu.findings.push_back(std::move(f));
+            res.findings.push_back(std::move(f));
 
-    tu.index = buildIndex(file, lexed);
-    return tu;
+    res.index = buildIndex(file, lexed);
+    return res;
 }
 
 EngineResult
 Engine::run() const
 {
-    EngineResult res;
-    Baseline baseline;
-    if (!cfg_.baselinePath.empty())
-        baseline.load(cfg_.baselinePath);
-
-    // The cache stores results of the full default configuration;
-    // filtered runs (rule subsets, ignored scopes) bypass it rather
-    // than poison it.
-    bool useCache = !cfg_.cachePath.empty() && cfg_.onlyRules.empty() &&
-                    !cfg_.ignoreScopes;
-    AnalysisCache cache;
-    if (useCache)
-        cache.load(cfg_.cachePath);
-    AnalysisCache next; // rebuilt fresh so deleted files drop out
-
-    std::vector<Finding> raw;
-    std::vector<const TuIndex *> tus; // point into `next`: map nodes
-                                      // are stable, no index copies
-    std::map<std::string, SourceFile> files;
-    std::map<std::string, std::vector<Suppressions::Entry>> supByPath;
-
+    std::vector<SourceFile> files;
     for (const std::string &rel : collectFiles(cfg_)) {
         SourceFile file("", "");
-        std::string abs = (fs::path(cfg_.root) / rel).string();
-        if (!SourceFile::load(abs, rel, file))
-            continue;
-        ++res.filesScanned;
-
-        uint64_t hash = fnv1a(file.text());
-        CachedTu *hit = useCache ? cache.lookupMutable(rel, hash)
-                                 : nullptr;
-        CachedTu tu;
-        if (hit != nullptr) {
-            // The old cache is discarded after this loop, so hits can
-            // be moved out rather than deep-copied.
-            tu = std::move(*hit);
-        } else {
-            tu = lintOneFile(file);
-            ++res.filesLexed;
-        }
-
-        res.suppressedInline += tu.suppressedInline;
-        for (const Finding &f : tu.findings)
-            raw.push_back(f);
-        supByPath[rel] = tu.supEntries;
-        tus.push_back(&next.put(std::move(tu)).index);
-        files.emplace(rel, std::move(file));
+        if (SourceFile::load((fs::path(cfg_.root) / rel).string(), rel, file))
+            files.push_back(std::move(file));
     }
+    EngineResult res = runOnFiles(files);
+    if (cfg_.baselinePath.empty())
+        return res;
 
-    // Whole-program pass: merge indexes, resolve the call graph, run
-    // the interprocedural rules, then apply inline suppressions to
-    // their findings exactly like per-file ones.
-    ProgramModel model;
-    model.build(tus);
-    GraphRuleContext gctx{
-        model, [&files](const std::string &path, uint32_t line) {
-            auto it = files.find(path);
-            if (it == files.end())
-                return std::string();
-            return trimmed(it->second.lineText(line));
-        }};
-    std::vector<Finding> graphRaw;
-    for (const auto &gr : graphRules_) {
-        if (!idSelected(gr->id()))
-            continue;
-        gr->run(gctx, graphRaw);
-    }
-    for (Finding &f : graphRaw) {
-        auto it = supByPath.find(f.path);
-        bool allowed = false;
-        if (it != supByPath.end())
-            for (const Suppressions::Entry &e : it->second)
-                if (e.line == f.line && e.ruleId == f.ruleId) {
-                    allowed = true;
-                    break;
-                }
-        if (allowed)
-            ++res.suppressedInline;
-        else
-            raw.push_back(std::move(f));
-    }
-
-    for (Finding &f : raw) {
-        if (!cfg_.baselinePath.empty() && baseline.matches(f)) {
+    Baseline baseline;
+    baseline.load(cfg_.baselinePath);
+    std::vector<Finding> kept;
+    for (Finding &f : res.findings) {
+        if (baseline.matches(f))
             ++res.suppressedBaseline;
-            continue;
-        }
-        res.findings.push_back(std::move(f));
+        else
+            kept.push_back(std::move(f));
     }
-
-    sortFindings(res.findings);
+    res.findings = std::move(kept);
     res.staleBaseline = baseline.unusedEntries();
-    // Rewriting an identical cache is the single biggest warm-run
-    // cost; skip it when nothing was re-lexed and no file vanished.
-    if (useCache &&
-        (res.filesLexed > 0 || next.size() != cache.size()))
-        next.write(cfg_.cachePath);
     return res;
 }
 
@@ -265,10 +210,9 @@ Engine::runOnFile(const SourceFile &file) const
 {
     EngineResult res;
     res.filesScanned = 1;
-    res.filesLexed = 1;
-    CachedTu tu = lintOneFile(file);
-    res.suppressedInline = tu.suppressedInline;
-    res.findings = std::move(tu.findings);
+    FileResult fr = lintOneFile(file);
+    res.suppressedInline = fr.suppressedInline;
+    res.findings = std::move(fr.findings);
     sortFindings(res.findings);
     return res;
 }
@@ -277,31 +221,32 @@ EngineResult
 Engine::runOnFiles(const std::vector<SourceFile> &files) const
 {
     EngineResult res;
-    std::vector<Finding> raw;
+    std::vector<Suppressions> sups;
     std::vector<TuIndex> tus;
-    std::map<std::string, const SourceFile *> byPath;
-    std::map<std::string, std::vector<Suppressions::Entry>> supByPath;
+    std::map<std::string, size_t> byPath; ///< path -> index in files
 
-    for (const SourceFile &file : files) {
-        ++res.filesScanned;
-        ++res.filesLexed;
-        CachedTu tu = lintOneFile(file);
-        res.suppressedInline += tu.suppressedInline;
-        for (const Finding &f : tu.findings)
-            raw.push_back(f);
-        supByPath[file.path()] = tu.supEntries;
-        tus.push_back(std::move(tu.index));
-        byPath[file.path()] = &file;
+    for (size_t i = 0; i < files.size(); ++i) {
+        FileResult fr = lintOneFile(files[i]);
+        res.suppressedInline += fr.suppressedInline;
+        for (Finding &f : fr.findings)
+            res.findings.push_back(std::move(f));
+        sups.push_back(std::move(fr.sup));
+        tus.push_back(std::move(fr.index));
+        byPath[files[i].path()] = i;
     }
+    res.filesScanned = files.size();
 
+    // Whole-program pass: merge indexes, resolve the call graph, run
+    // the interprocedural rules, then apply inline suppressions to
+    // their findings exactly like per-file ones.
     ProgramModel model;
     model.build(tus);
     GraphRuleContext gctx{
-        model, [&byPath](const std::string &path, uint32_t line) {
+        model, [&](const std::string &path, uint32_t line) {
             auto it = byPath.find(path);
             if (it == byPath.end())
                 return std::string();
-            return trimmed(it->second->lineText(line));
+            return trimmed(files[it->second].lineText(line));
         }};
     std::vector<Finding> graphRaw;
     for (const auto &gr : graphRules_) {
@@ -310,21 +255,13 @@ Engine::runOnFiles(const std::vector<SourceFile> &files) const
         gr->run(gctx, graphRaw);
     }
     for (Finding &f : graphRaw) {
-        auto it = supByPath.find(f.path);
-        bool allowed = false;
-        if (it != supByPath.end())
-            for (const Suppressions::Entry &e : it->second)
-                if (e.line == f.line && e.ruleId == f.ruleId) {
-                    allowed = true;
-                    break;
-                }
-        if (allowed)
+        auto it = byPath.find(f.path);
+        if (it != byPath.end() && sups[it->second].allows(f.line, f.ruleId))
             ++res.suppressedInline;
         else
-            raw.push_back(std::move(f));
+            res.findings.push_back(std::move(f));
     }
 
-    res.findings = std::move(raw);
     sortFindings(res.findings);
     return res;
 }

@@ -3,9 +3,7 @@
  * The lint engine: walks the tree, tokenizes each source file, runs
  * every per-file rule in scope, merges the per-TU symbol indexes into
  * a whole-program call graph, runs the interprocedural rules over it,
- * then applies inline suppressions and the baseline. An optional
- * content-hash-keyed cache skips the per-file work for unchanged
- * files, making warm repo-wide runs a small fraction of cold ones.
+ * then applies inline suppressions and the baseline.
  */
 
 #ifndef MINJIE_ANALYSIS_ENGINE_H
@@ -15,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/cache.h"
 #include "analysis/finding.h"
 #include "analysis/rule.h"
 #include "analysis/rules_graph.h"
@@ -28,16 +25,13 @@ struct EngineConfig
     std::vector<std::string> scanDirs = {"src", "tools"};
     std::vector<std::string> excludePrefixes; ///< repo-relative prefixes
     std::string baselinePath;          ///< empty = no baseline
-    std::string cachePath;             ///< empty = no incremental cache
     std::vector<std::string> onlyRules; ///< restrict to these ids
-    bool ignoreScopes = false; ///< run every rule on every file (tests)
 };
 
 struct EngineResult
 {
     std::vector<Finding> findings;      ///< unsuppressed, sorted
     uint64_t filesScanned = 0;
-    uint64_t filesLexed = 0; ///< cache misses (== filesScanned when cold)
     uint64_t suppressedInline = 0;
     uint64_t suppressedBaseline = 0;
     std::vector<std::string> staleBaseline; ///< unused baseline entries
@@ -56,9 +50,12 @@ class Engine
     EngineResult runOnFile(const SourceFile &file) const;
 
     /** Full pipeline — per-file rules, call graph, graph rules — over
-     *  in-memory files (multi-TU fixtures in tests). No baseline, no
-     *  cache. */
+     *  in-memory files. No baseline. */
     EngineResult runOnFiles(const std::vector<SourceFile> &files) const;
+
+    /** The configured rule ids that name no per-file rule, no graph
+     *  rule and not MJ-SUP-001 (in configuration order). */
+    std::vector<std::string> unknownRules() const;
 
     const std::vector<std::unique_ptr<Rule>> &rules() const
     {
@@ -74,8 +71,10 @@ class Engine
     bool idSelected(std::string_view id) const;
     bool ruleApplies(const Rule &r, const std::string &relPath) const;
 
+    struct FileResult;
+
     /** Lex + per-file rules + suppressions + index for one file. */
-    CachedTu lintOneFile(const SourceFile &file) const;
+    FileResult lintOneFile(const SourceFile &file) const;
 
     EngineConfig cfg_;
     std::vector<std::unique_ptr<Rule>> rules_;

@@ -2,12 +2,13 @@
  * @file
  * Token-stream symbol indexer. One linear pass per TU:
  *
- *   1. flat scans collect declared std::unordered_* / mutex names;
+ *   1. flat scans collect declared std::unordered_* names and
+ *      receiver-type hints;
  *   2. a scope-tracking pass finds namespace / class nesting and
  *      function definitions (`name(params) trailer {`), then records
- *      events inside each body: calls (with the lock set held at the
- *      call), lock acquisitions, nondeterminism sources, container
- *      iterations, and arch-state stores.
+ *      events inside each body: calls, lock acquisitions,
+ *      nondeterminism sources, container iterations, and arch-state
+ *      stores.
  *
  * The indexer is heuristic by design: it never resolves types or
  * overloads, and unparseable constructs degrade to "no event", never
@@ -80,14 +81,6 @@ isUnorderedContainer(std::string_view s)
 {
     return isAnyOf(s, {"unordered_map", "unordered_set",
                        "unordered_multimap", "unordered_multiset"});
-}
-
-bool
-isMutexType(std::string_view s)
-{
-    return isAnyOf(s, {"mutex", "recursive_mutex", "shared_mutex",
-                       "timed_mutex", "recursive_timed_mutex",
-                       "pthread_mutex_t"});
 }
 
 bool
@@ -259,23 +252,6 @@ findBodyBrace(const std::vector<Token> &toks, size_t afterClose)
     return npos;
 }
 
-/** A held lock plus the brace depth its guard was declared at. */
-struct HeldLock
-{
-    std::string name;
-    int depth; ///< guard dies when braceDepth drops below this
-};
-
-std::vector<std::string>
-heldNames(const std::vector<HeldLock> &held)
-{
-    std::vector<std::string> out;
-    out.reserve(held.size());
-    for (const HeldLock &h : held)
-        out.push_back(h.name);
-    return out;
-}
-
 /** Source text of the first argument after '(' at @p open (up to the
  *  first top-level ',' or the closing ')'). */
 std::string
@@ -308,10 +284,9 @@ buildIndex(const SourceFile &file, const LexResult &lexed)
     const auto &toks = lexed.tokens;
     const size_t n = toks.size();
 
-    // Pass 1: declared unordered containers and lock objects. The
-    // pattern `type < ... > name` / `mutex name` is scope-agnostic on
-    // purpose: a member declared in a header must resolve iteration
-    // sites in other TUs.
+    // Pass 1: declared unordered containers. The pattern
+    // `type < ... > name` is scope-agnostic on purpose: a member
+    // declared in a header must resolve iteration sites in other TUs.
     for (size_t i = 0; i < n; ++i) {
         if (toks[i].kind != Tok::Ident)
             continue;
@@ -321,10 +296,6 @@ buildIndex(const SourceFile &file, const LexResult &lexed)
             if (close + 1 < n && toks[close + 1].kind == Tok::Ident)
                 tu.unorderedNames.emplace_back(toks[close + 1].text);
         }
-        if (isMutexType(toks[i].text) && i + 1 < n &&
-            toks[i + 1].kind == Tok::Ident &&
-            (i + 2 >= n || toks[i + 2].is(";") || toks[i + 2].is(",")))
-            tu.lockNames.emplace_back(toks[i + 1].text);
         // Receiver-type hints: `Type name ;|=|{|,|)` (optionally with
         // template args and */& between). Noisy entries are fine —
         // they only ever NARROW member-call resolution.
@@ -362,10 +333,6 @@ buildIndex(const SourceFile &file, const LexResult &lexed)
     tu.unorderedNames.erase(std::unique(tu.unorderedNames.begin(),
                                         tu.unorderedNames.end()),
                             tu.unorderedNames.end());
-    std::sort(tu.lockNames.begin(), tu.lockNames.end());
-    tu.lockNames.erase(
-        std::unique(tu.lockNames.begin(), tu.lockNames.end()),
-        tu.lockNames.end());
 
     // Pass 2: scopes, function definitions, and body events.
     struct Scope
@@ -377,7 +344,6 @@ buildIndex(const SourceFile &file, const LexResult &lexed)
     int depth = 0;
     FunctionIndex *fn = nullptr; ///< active function, else null
     int fnBodyDepth = 0;
-    std::vector<HeldLock> held;
 
     auto openNamedScope = [&](size_t i) -> size_t {
         // namespace A::B { ... } | class/struct/union/enum X ... { ... }
@@ -432,12 +398,8 @@ buildIndex(const SourceFile &file, const LexResult &lexed)
         }
         if (t.is("}")) {
             --depth;
-            while (!held.empty() && held.back().depth > depth)
-                held.pop_back();
-            if (fn && depth < fnBodyDepth) {
+            if (fn && depth < fnBodyDepth)
                 fn = nullptr;
-                held.clear();
-            }
             while (!scopes.empty() && scopes.back().bodyDepth > depth)
                 scopes.pop_back();
             continue;
@@ -476,7 +438,6 @@ buildIndex(const SourceFile &file, const LexResult &lexed)
                 tu.functions.push_back(std::move(f));
                 fn = &tu.functions.back();
                 fnBodyDepth = depth + 1;
-                held.clear();
                 // Record initializer-list calls (`ctor() : a_(g()) {`)
                 // as entry calls, then resume at the body brace.
                 for (size_t k = close + 1; k + 1 < body; ++k)
@@ -515,7 +476,6 @@ buildIndex(const SourceFile &file, const LexResult &lexed)
                 continue;
             size_t close = matchParen(toks, j);
             // Each comma-separated argument is one acquired lock.
-            std::vector<std::string> before = heldNames(held);
             size_t argStart = j;
             while (argStart < close) {
                 std::string lockName = firstArgText(toks, argStart);
@@ -523,9 +483,7 @@ buildIndex(const SourceFile &file, const LexResult &lexed)
                     LockEvent e;
                     e.lockName = lockName;
                     e.line = t.line;
-                    e.heldBefore = before;
                     fn->locks.push_back(std::move(e));
-                    held.push_back({lockName, depth});
                 }
                 int d = 0;
                 ++argStart;
@@ -545,31 +503,15 @@ buildIndex(const SourceFile &file, const LexResult &lexed)
             continue;
         }
 
-        // Explicit m.lock() / m.unlock() / pthread_mutex_lock(&m).
+        // Explicit m.lock() / pthread_mutex_lock(&m).
         if ((t.isIdent("lock") || t.isIdent("lock_shared")) && i >= 2 &&
             (toks[i - 1].is(".") || toks[i - 1].is("->")) &&
             toks[i - 2].kind == Tok::Ident && i + 1 < n &&
             toks[i + 1].is("(")) {
-            std::string lockName(toks[i - 2].text);
             LockEvent e;
-            e.lockName = lockName;
+            e.lockName = std::string(toks[i - 2].text);
             e.line = t.line;
-            e.heldBefore = heldNames(held);
             fn->locks.push_back(std::move(e));
-            held.push_back({lockName, fnBodyDepth});
-            continue;
-        }
-        if ((t.isIdent("unlock") || t.isIdent("unlock_shared")) &&
-            i >= 2 &&
-            (toks[i - 1].is(".") || toks[i - 1].is("->")) &&
-            toks[i - 2].kind == Tok::Ident) {
-            std::string name(toks[i - 2].text);
-            for (size_t k = held.size(); k-- > 0;)
-                if (held[k].name == name) {
-                    held.erase(held.begin() +
-                               static_cast<ptrdiff_t>(k));
-                    break;
-                }
             continue;
         }
         if (t.isIdent("pthread_mutex_lock") && i + 1 < n &&
@@ -580,22 +522,8 @@ buildIndex(const SourceFile &file, const LexResult &lexed)
             LockEvent e;
             e.lockName = arg;
             e.line = t.line;
-            e.heldBefore = heldNames(held);
             fn->locks.push_back(std::move(e));
-            held.push_back({arg, fnBodyDepth});
             // falls through: also recorded as a call below
-        }
-        if (t.isIdent("pthread_mutex_unlock") && i + 1 < n &&
-            toks[i + 1].is("(")) {
-            std::string arg = firstArgText(toks, i + 1);
-            if (!arg.empty() && arg[0] == '&')
-                arg.erase(0, 1);
-            for (size_t k = held.size(); k-- > 0;)
-                if (held[k].name == arg) {
-                    held.erase(held.begin() +
-                               static_cast<ptrdiff_t>(k));
-                    break;
-                }
         }
 
         // Nondeterminism sources.
@@ -695,7 +623,6 @@ buildIndex(const SourceFile &file, const LexResult &lexed)
                      k < close && c.firstArg.size() < 64; ++k)
                     c.firstArg += toks[k].text;
             }
-            c.heldLocks = heldNames(held);
             fn->calls.push_back(std::move(c));
         }
     }

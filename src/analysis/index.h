@@ -5,12 +5,12 @@
  *
  * The index deliberately stays syntactic — no type resolution, no
  * overload sets. Each function definition carries the event lists the
- * graph rules consume (call sites with held locks, lock acquisitions,
- * nondeterminism sources, container iterations, arch-state writes),
- * and each TU contributes the container/lock object names it declares.
+ * graph rules consume (call sites, lock acquisitions, nondeterminism
+ * sources, container iterations, arch-state writes), and each TU
+ * contributes the container names and variable types it declares.
  * Cross-TU meaning (which names are unordered, which calls resolve to
- * which definitions) is assigned later by ProgramModel so a cached
- * index stays valid as long as its file's bytes are unchanged.
+ * which definitions) is assigned later by ProgramModel, so an index
+ * depends on nothing but its own file.
  */
 
 #ifndef MINJIE_ANALYSIS_INDEX_H
@@ -36,7 +36,6 @@ struct CallEvent
                           ///< single identifier)
     uint32_t line = 0;
     bool member = false;  ///< receiver-dot/arrow call (`obj.f()`)
-    std::vector<std::string> heldLocks; ///< locks held at the call
 };
 
 /** A lock acquisition (guard construction or explicit .lock()). */
@@ -44,7 +43,6 @@ struct LockEvent
 {
     std::string lockName; ///< source text of the locked object
     uint32_t line = 0;
-    std::vector<std::string> heldBefore; ///< locks already held
 };
 
 /** A direct nondeterminism source (host RNG, wall clock, ...). */
@@ -88,7 +86,6 @@ struct TuIndex
     std::string path; ///< repo-relative
     std::vector<FunctionIndex> functions; ///< in definition order
     std::vector<std::string> unorderedNames; ///< names declared std::unordered_*
-    std::vector<std::string> lockNames;      ///< names declared as mutexes
     /** (variable, type) pairs from `Type name;`-shaped declarations —
      *  the receiver-type hints that narrow member-call resolution. */
     std::vector<std::pair<std::string, std::string>> varTypes;

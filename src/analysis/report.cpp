@@ -47,7 +47,6 @@ renderJson(const EngineResult &res)
     JsonWriter jw;
     jw.beginObject();
     jw.key("files_scanned").value(res.filesScanned);
-    jw.key("files_lexed").value(res.filesLexed);
     jw.key("suppressed_inline").value(res.suppressedInline);
     jw.key("suppressed_baseline").value(res.suppressedBaseline);
     jw.key("findings").beginArray();

@@ -6,7 +6,6 @@
  *   MJ-FRK2-*  fork-unsafe work transitively reachable from LightSSS
  *   MJ-DET2-*  nondeterminism taint reaching deterministic paths
  *   MJ-PRB2-*  arch-state stores reachable around the accessors
- *   MJ-LCK-*   lock-acquisition-order cycles
  */
 
 #ifndef MINJIE_ANALYSIS_RULES_GRAPH_H
@@ -28,7 +27,7 @@ struct GraphRuleContext
 {
     const ProgramModel &model;
     /** Whitespace-trimmed source text of path:line ("" when the file
-     *  is not available, e.g. purely cached runs). */
+     *  is not in the program). */
     std::function<std::string(const std::string &path, uint32_t line)>
         snippet;
 };

@@ -1,19 +1,16 @@
 /**
  * @file
- * The four interprocedural rule families. Each runs one deterministic
+ * The three interprocedural rule families. Each runs one deterministic
  * multi-root BFS over the ProgramModel and reports events with a
  * call-path witness. Division of labour with the per-file rules: a
  * banned construct INSIDE a rule's per-file scope is the per-file
  * rule's finding; the graph rules add what only the call graph can
  * see — the same construct in a helper defined elsewhere but
  * transitively reachable, plus the few constructs (fflush, exit,
- * cross-TU unordered iteration, lock-order cycles) that no per-file
- * pattern covers.
+ * cross-TU unordered iteration) that no per-file pattern covers.
  */
 
 #include "analysis/rules_graph.h"
-
-#include <algorithm>
 
 namespace minjie::analysis {
 
@@ -356,148 +353,6 @@ class ProbeBypassReachability final : public GraphRuleBase
     }
 };
 
-// ----------------------------------------------------------------- LCK
-
-const std::vector<std::string> LCK_SCOPE = {"src/campaign/",
-                                            "src/obs/"};
-
-/** Lock-acquisition-order graph with cycle detection. */
-class LockOrderCycles final : public GraphRuleBase
-{
-  public:
-    LockOrderCycles()
-        : GraphRuleBase(
-              "MJ-LCK-001",
-              "inconsistent lock-acquisition order (cycle in the "
-              "lock-order graph): two threads can deadlock")
-    {
-    }
-
-    void
-    run(const GraphRuleContext &ctx,
-        std::vector<Finding> &out) const override
-    {
-        const ProgramModel &m = ctx.model;
-
-        struct OrderEdge
-        {
-            std::string path; ///< acquisition site of the second lock
-            uint32_t line = 0;
-            std::vector<std::string> witness;
-        };
-        // first lock -> second lock -> first witness seen
-        std::map<std::string, std::map<std::string, OrderEdge>> graph;
-
-        auto addEdge = [&](const std::string &a, const std::string &b,
-                           OrderEdge e) {
-            if (a == b)
-                return;
-            auto &row = graph[a];
-            if (row.find(b) == row.end())
-                row.emplace(b, std::move(e));
-        };
-
-        for (uint32_t id = 0;
-             id < static_cast<uint32_t>(m.nodes().size()); ++id) {
-            const Node &n = m.nodes()[id];
-            if (!pathIn(n.path, LCK_SCOPE))
-                continue;
-            // Intraprocedural: lock B acquired while A is held.
-            for (const LockEvent &l : n.fn->locks)
-                for (const std::string &h : l.heldBefore) {
-                    OrderEdge e;
-                    e.path = n.path;
-                    e.line = l.line;
-                    e.witness = {n.fn->qualName + " (" + n.path + ":" +
-                                 std::to_string(l.line) + ")"};
-                    addEdge(h, l.lockName, std::move(e));
-                }
-            // Interprocedural: call made with locks held; any lock
-            // the callee closure acquires orders after them.
-            for (const Edge &edge : n.callees) {
-                const CallEvent &c = n.fn->calls[edge.call];
-                if (c.heldLocks.empty())
-                    continue;
-                auto parents =
-                    m.reach({edge.target}, [&](uint32_t t) {
-                        return !isTestPath(m.nodes()[t].path);
-                    });
-                for (uint32_t t = 0;
-                     t < static_cast<uint32_t>(m.nodes().size()); ++t) {
-                    if (parents[t].node == -1)
-                        continue;
-                    const Node &callee = m.nodes()[t];
-                    for (const LockEvent &l : callee.fn->locks)
-                        for (const std::string &h : c.heldLocks) {
-                            OrderEdge e;
-                            e.path = callee.path;
-                            e.line = l.line;
-                            e.witness = {n.fn->qualName + " (" +
-                                         n.path + ":" +
-                                         std::to_string(c.line) + ")"};
-                            auto rest =
-                                m.witness(parents, t, l.line);
-                            e.witness.insert(e.witness.end(),
-                                             rest.begin(), rest.end());
-                            addEdge(h, l.lockName, std::move(e));
-                        }
-                }
-            }
-        }
-
-        // Cycle detection: DFS over the (sorted) lock-order graph.
-        std::set<std::string> reported;
-        std::map<std::string, int> color; // 0 white 1 grey 2 black
-        std::vector<std::string> stack;
-
-        std::function<void(const std::string &)> dfs =
-            [&](const std::string &u) {
-                color[u] = 1;
-                stack.push_back(u);
-                auto it = graph.find(u);
-                if (it != graph.end())
-                    for (const auto &[v, e] : it->second) {
-                        if (color[v] == 1) {
-                            // Cycle: stack segment v..u plus v.
-                            auto pos = std::find(stack.begin(),
-                                                 stack.end(), v);
-                            std::vector<std::string> cyc(pos,
-                                                         stack.end());
-                            // Canonical form: rotate the smallest
-                            // lock name to the front.
-                            auto minIt = std::min_element(cyc.begin(),
-                                                          cyc.end());
-                            std::rotate(cyc.begin(), minIt, cyc.end());
-                            std::string key;
-                            for (const std::string &l : cyc)
-                                key += l + ">";
-                            if (reported.insert(key).second) {
-                                std::string order;
-                                for (const std::string &l : cyc)
-                                    order += l + " -> ";
-                                order += cyc.front();
-                                out.push_back(makeFinding(
-                                    ctx, "MJ-LCK-001", e.path, e.line,
-                                    "lock-order cycle " + order +
-                                        ": another path acquires "
-                                        "these locks in the opposite "
-                                        "order, so two threads can "
-                                        "deadlock; pick one global "
-                                        "order",
-                                    e.witness));
-                            }
-                        } else if (color[v] == 0)
-                            dfs(v);
-                    }
-                stack.pop_back();
-                color[u] = 2;
-            };
-        for (const auto &[u, row] : graph)
-            if (color[u] == 0)
-                dfs(u);
-    }
-};
-
 } // namespace
 
 std::vector<std::unique_ptr<GraphRule>>
@@ -506,7 +361,6 @@ makeGraphRules()
     std::vector<std::unique_ptr<GraphRule>> rules;
     rules.push_back(std::make_unique<DeterminismTaint>());
     rules.push_back(std::make_unique<ForkReachability>());
-    rules.push_back(std::make_unique<LockOrderCycles>());
     rules.push_back(std::make_unique<ProbeBypassReachability>());
     return rules;
 }

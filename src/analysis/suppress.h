@@ -23,12 +23,6 @@ namespace minjie::analysis {
 class Suppressions
 {
   public:
-    struct Entry
-    {
-        uint32_t line; ///< line the directive covers
-        std::string ruleId;
-    };
-
     /**
      * Parse every lint:allow directive in @p comments (from @p path).
      * Malformed directives (missing rule id or justification) are
@@ -39,21 +33,17 @@ class Suppressions
                  const SourceFile &file,
                  std::vector<Finding> &diagnostics);
 
-    /** Rebuild from entries cached by a previous run. */
-    explicit Suppressions(std::vector<Entry> entries)
-        : entries_(std::move(entries))
-    {
-    }
-
     /** True when @p ruleId is allowed on @p line. */
     bool allows(uint32_t line, const std::string &ruleId) const;
-
-    /** Parsed directives, for the incremental cache. */
-    const std::vector<Entry> &entries() const { return entries_; }
 
     uint64_t directiveCount() const { return entries_.size(); }
 
   private:
+    struct Entry
+    {
+        uint32_t line; ///< line the directive covers
+        std::string ruleId;
+    };
     std::vector<Entry> entries_;
 };
 

@@ -173,6 +173,13 @@ TEST(Rules, RuleFilterRestrictsOutput)
         loadFixture("determinism.cpp", "src/campaign/fixture.cpp"));
     ASSERT_EQ(res.findings.size(), 1u);
     EXPECT_EQ(res.findings[0].ruleId, "MJ-DET-003");
+
+    // Every kind of known id passes; an id naming no rule would check
+    // nothing, so it is reported instead of silently ignored.
+    cfg.onlyRules = {"MJ-DET-003", "MJ-FRK2-001", "MJ-SUP-001",
+                     "MJ-NOPE-999"};
+    EXPECT_EQ(Engine(cfg).unknownRules(),
+              std::vector<std::string>{"MJ-NOPE-999"});
 }
 
 TEST(Rules, EveryFamilyIsRegistered)

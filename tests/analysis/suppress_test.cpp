@@ -126,5 +126,50 @@ TEST(Baseline, MissingFileIsEmpty)
     EXPECT_EQ(bl.size(), 0u);
 }
 
+/** Write @p text to a temp baseline and load it; false on reject. */
+bool
+loadText(const std::string &text, Baseline &bl)
+{
+    std::string path =
+        testing::TempDir() + "/minjie_lint_baseline_corrupt.txt";
+    FILE *f = std::fopen(path.c_str(), "w");
+    if (!f)
+        return false;
+    std::fputs(text.c_str(), f);
+    std::fclose(f);
+    bool ok = bl.load(path);
+    std::remove(path.c_str());
+    return ok;
+}
+
+TEST(Baseline, CorruptLineIsRejected)
+{
+    const std::string good =
+        "# header\n\nMJ-DET-001 src/x.cpp 0123456789abcdef  # rand();\n";
+    Baseline bl;
+    ASSERT_TRUE(loadText(good, bl));
+    EXPECT_EQ(bl.size(), 1u);
+
+    for (const char *bad : {
+             "MJ-DET-001 src/x.cpp zzzz\n",               // non-hex
+             "MJ-DET-001 src/x.cpp 0123456789abcdeg\n",   // non-hex
+             "MJ-DET-001 src/x.cpp 0123456789abcdef0\n",  // too long
+             "MJ-DET-001 src/x.cpp 0123 456789abcdef\n",  // stray field
+             "garbage\n",
+         }) {
+        EXPECT_FALSE(loadText(good + bad, bl)) << bad;
+        EXPECT_EQ(bl.size(), 0u) << bad;
+    }
+}
+
+TEST(Baseline, TruncatedLineIsRejected)
+{
+    Baseline bl;
+    // A fingerprint cut short, then a line cut before its fingerprint.
+    EXPECT_FALSE(loadText("MJ-DET-001 src/x.cpp 0123456789ab", bl));
+    EXPECT_FALSE(loadText("MJ-DET-001 src/x.cpp\n", bl));
+    EXPECT_EQ(bl.size(), 0u);
+}
+
 } // namespace
 } // namespace minjie::analysis

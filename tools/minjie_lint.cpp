@@ -19,8 +19,6 @@
 #include "analysis/baseline.h"
 #include "analysis/engine.h"
 #include "analysis/report.h"
-#include "common/clock.h"
-#include "common/jsonw.h"
 
 namespace {
 
@@ -43,15 +41,7 @@ usage(FILE *to)
                               "findings\n"
         "  --baseline-budget N fail when the baseline holds more than "
                               "N entries\n"
-        "  --cache FILE        reuse per-file results for unchanged "
-                              "files\n"
-        "  --bench-out FILE    time a cold and an incremental run, "
-                              "write JSON\n"
-        "  --bench-gate PCT    with --bench-out: fail when the "
-                              "incremental\n"
-        "                      run exceeds PCT%% of the cold run\n"
         "  --rule ID           run only this rule (repeatable)\n"
-        "  --all-scopes        apply every rule to every file\n"
         "  --list-rules        print the rule registry and exit\n");
 }
 
@@ -65,8 +55,6 @@ main(int argc, char **argv)
     cfg.scanDirs.clear();
     std::string format = "human";
     std::string output;
-    std::string benchOut;
-    long benchGatePct = -1;
     long baselineBudget = -1;
     bool updateBaseline = false;
     bool listRules = false;
@@ -98,16 +86,8 @@ main(int argc, char **argv)
             updateBaseline = true;
         } else if (!std::strcmp(a, "--baseline-budget")) {
             baselineBudget = std::strtol(needArg(i), nullptr, 10);
-        } else if (!std::strcmp(a, "--cache")) {
-            cfg.cachePath = needArg(i);
-        } else if (!std::strcmp(a, "--bench-out")) {
-            benchOut = needArg(i);
-        } else if (!std::strcmp(a, "--bench-gate")) {
-            benchGatePct = std::strtol(needArg(i), nullptr, 10);
         } else if (!std::strcmp(a, "--rule")) {
             cfg.onlyRules.push_back(needArg(i));
-        } else if (!std::strcmp(a, "--all-scopes")) {
-            cfg.ignoreScopes = true;
         } else if (!std::strcmp(a, "--list-rules")) {
             listRules = true;
         } else if (!std::strcmp(a, "--help") || !std::strcmp(a, "-h")) {
@@ -135,13 +115,19 @@ main(int argc, char **argv)
         return 0;
     }
 
-    EngineResult res;
+    // A misspelled or retired id would otherwise check nothing and
+    // pass.
+    std::vector<std::string> unknown = engine.unknownRules();
+    for (const std::string &id : unknown)
+        std::fprintf(stderr, "minjie-lint: unknown rule %s\n", id.c_str());
+    if (!unknown.empty())
+        return 2;
+
     if (updateBaseline) {
         // Collect unbaselined findings, then record them all.
         std::string keep = cfg.baselinePath;
         cfg.baselinePath.clear();
-        Engine fresh(cfg);
-        res = fresh.run();
+        EngineResult res = Engine(cfg).run();
         if (keep.empty()) {
             std::fprintf(stderr,
                          "minjie-lint: --update-baseline needs "
@@ -160,83 +146,29 @@ main(int argc, char **argv)
         return 0;
     }
 
-    if (!benchOut.empty()) {
-        // Cold/incremental benchmark: drop the cache, run once to
-        // repopulate it, run again warm. The warm run's result feeds
-        // the normal report path below (findings are identical).
-        if (cfg.cachePath.empty()) {
-            std::fprintf(stderr,
-                         "minjie-lint: --bench-out needs --cache\n");
-            return 2;
-        }
-        std::remove(cfg.cachePath.c_str());
-        minjie::Stopwatch sw;
-        EngineResult cold = engine.run();
-        uint64_t coldUs = sw.elapsedUs();
-        sw.reset();
-        res = engine.run();
-        uint64_t warmUs = sw.elapsedUs();
-
-        minjie::JsonWriter jw;
-        jw.beginObject();
-        jw.key("files").value(res.filesScanned);
-        jw.key("cold_files_lexed").value(cold.filesLexed);
-        jw.key("incremental_files_lexed").value(res.filesLexed);
-        jw.key("cold_us").value(coldUs);
-        jw.key("incremental_us").value(warmUs);
-        jw.key("incremental_over_cold")
-            .value(coldUs == 0 ? 0.0
-                               : static_cast<double>(warmUs) /
-                                     static_cast<double>(coldUs));
-        jw.endObject();
-        FILE *bf = std::fopen(benchOut.c_str(), "w");
-        if (!bf) {
-            std::fprintf(stderr, "minjie-lint: cannot open %s\n",
-                         benchOut.c_str());
-            return 2;
-        }
-        std::fputs(jw.str().c_str(), bf);
-        std::fclose(bf);
-        std::printf("minjie-lint: cold %llu us, incremental %llu us "
-                    "-> %s\n",
-                    static_cast<unsigned long long>(coldUs),
-                    static_cast<unsigned long long>(warmUs),
-                    benchOut.c_str());
-        if (benchGatePct >= 0 &&
-            warmUs * 100 > coldUs * static_cast<uint64_t>(benchGatePct)) {
-            std::fprintf(stderr,
-                         "minjie-lint: incremental run is %.0f%% of "
-                         "cold, gate is %ld%% — the cache stopped "
-                         "paying for itself\n",
-                         coldUs == 0 ? 0.0
-                                     : 100.0 * static_cast<double>(warmUs) /
-                                           static_cast<double>(coldUs),
-                         benchGatePct);
-            return 1;
-        }
-    } else {
-        res = engine.run();
+    // A baseline line that does not parse would otherwise be dropped
+    // silently, un-hiding its finding or slipping under the budget.
+    Baseline bl;
+    if (!cfg.baselinePath.empty() && !bl.load(cfg.baselinePath)) {
+        std::fprintf(stderr, "minjie-lint: malformed baseline %s\n",
+                     cfg.baselinePath.c_str());
+        return 2;
     }
 
     // Baseline ratchet: the budget caps how many findings may hide in
     // the baseline file. CI pins 0, so growing the baseline instead of
     // fixing (or justifying an inline allow) fails the build.
-    if (baselineBudget >= 0 && !cfg.baselinePath.empty()) {
-        Baseline bl;
-        if (!bl.load(cfg.baselinePath)) {
-            std::fprintf(stderr, "minjie-lint: cannot read baseline %s\n",
-                         cfg.baselinePath.c_str());
-            return 2;
-        }
-        if (bl.size() > static_cast<size_t>(baselineBudget)) {
-            std::fprintf(stderr,
-                         "minjie-lint: baseline holds %zu entries, "
-                         "budget is %ld — fix the findings or raise "
-                         "the budget with justification\n",
-                         bl.size(), baselineBudget);
-            return 1;
-        }
+    if (baselineBudget >= 0 && !cfg.baselinePath.empty() &&
+        bl.size() > static_cast<size_t>(baselineBudget)) {
+        std::fprintf(stderr,
+                     "minjie-lint: baseline holds %zu entries, "
+                     "budget is %ld — fix the findings or raise "
+                     "the budget with justification\n",
+                     bl.size(), baselineBudget);
+        return 1;
     }
+
+    EngineResult res = engine.run();
 
     std::string report;
     if (format == "human")
