@@ -96,7 +96,7 @@ main(int argc, char **argv)
 {
     bool fast = fastMode();
     // --sample N: evaluate each (benchmark, config) cell with the
-    // fork-fanout sampled engine over N workers instead of one full
+    // threaded sampled engine over N workers instead of one full
     // detailed run — the paper's Fig. 12 methodology (profile once,
     // run SimPoint slices per configuration).
     unsigned sampleWorkers = 0;

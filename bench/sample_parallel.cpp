@@ -1,8 +1,8 @@
 /**
  * @file
- * Wall-clock scaling of the fork-fanout sampled-simulation engine:
- * the same checkpoint pack evaluated serially (--workers 1) and with
- * 8 forked workers, on the fig12 workload set.
+ * Wall-clock scaling of the threaded sampled-simulation engine:
+ * the same checkpoint pack evaluated serially (--workers 1) and on
+ * 8 worker threads, on the fig12 workload set.
  *
  * Two properties are on trial:
  *   1. Throughput — with >= 8 host cores, 8 workers must cut the
@@ -228,7 +228,7 @@ main(int argc, char **argv)
     if (fast)
         suite.resize(3);
 
-    std::printf("=== sampled evaluation: serial vs %u forked workers "
+    std::printf("=== sampled evaluation: serial vs %u worker threads "
                 "(fig12 set) ===\n\n",
                 PAR_WORKERS);
     auto rows = measureSuite(suite, fast ? 200'000 : 400'000,

@@ -18,12 +18,8 @@ namespace {
 
 /** The tracer's record path runs between fork points too: a LightSSS
  *  replay child inherits the ring buffer mid-flight, so src/obs/ must
- *  obey the same no-locks / no-thread / no-buffered-stdio rules. The
- *  sampled-simulation engine (src/sample/) forks one worker per
- *  SimPoint slice and pipes raw bytes back, so the same constraints
- *  apply on both sides of its fork. */
-const std::vector<std::string> FRK_SCOPE = {"src/lightsss/", "src/obs/",
-                                            "src/sample/"};
+ *  obey the same no-locks / no-thread / no-buffered-stdio rules. */
+const std::vector<std::string> FRK_SCOPE = {"src/lightsss/", "src/obs/"};
 
 class ThreadSpawn final : public BasicRule
 {

@@ -89,17 +89,15 @@ class GraphRuleBase : public GraphRule
 
 // ---------------------------------------------------------------- FRK2
 
-const std::vector<std::string> FRK_FILE_SCOPE = {
-    "src/lightsss/", "src/obs/", "src/sample/"};
+const std::vector<std::string> FRK_FILE_SCOPE = {"src/lightsss/",
+                                                 "src/obs/"};
 
 /** Functions that sit at a fork point themselves: the LightSSS
- *  snapshotter and the sampled-simulation worker pool both fork, so
- *  everything they reach runs on a fork path. */
+ *  snapshotter forks, so everything it reaches runs on a fork path. */
 bool
 isForkRootPath(const std::string &path)
 {
-    return path.compare(0, 13, "src/lightsss/") == 0 ||
-           path.compare(0, 11, "src/sample/") == 0;
+    return path.compare(0, 13, "src/lightsss/") == 0;
 }
 
 /** Fork-unsafe work transitively reachable from the LightSSS

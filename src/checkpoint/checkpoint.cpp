@@ -132,6 +132,10 @@ serialize(const iss::ArchState &st, const mem::PhysMem &mem,
     Checkpoint cp;
     cp.instCount = instCount;
     auto &v = cp.bytes;
+    // Size the image once: growing it page by page reallocates (and
+    // briefly doubles) a multi-megabyte buffer at every step.
+    v.reserve(archHeaderBytes() + 8 +
+              mem.allocatedPages() * (8 + mem::PhysMem::PAGE_SIZE));
 
     serializeArch(v, st);
 
@@ -145,9 +149,7 @@ serialize(const iss::ArchState &st, const mem::PhysMem &mem,
         if (pageIsZero(data))
             return;
         put64(v, base);
-        size_t off = v.size();
-        v.resize(off + mem::PhysMem::PAGE_SIZE);
-        std::memcpy(v.data() + off, data, mem::PhysMem::PAGE_SIZE);
+        v.insert(v.end(), data, data + mem::PhysMem::PAGE_SIZE);
         ++pages;
     });
     std::memcpy(v.data() + countOff, &pages, 8);

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -19,7 +20,9 @@ namespace minjie::mem {
 /**
  * Byte-addressable sparse memory. Pages are allocated on first touch so
  * a 16 GB guest-physical space costs only what the workload dirties —
- * this is also what makes LightSSS fork()/COW snapshots cheap.
+ * this is also what makes LightSSS fork()/COW snapshots cheap. A
+ * restored checkpoint may instead borrow read-only pages
+ * (borrowPages()); each is copied in on its first touch.
  */
 class PhysMem
 {
@@ -78,13 +81,37 @@ class PhysMem
         return true;
     }
 
-    /** Bulk copy-in used by the program loader. */
+    /** Bulk copy-in (program loader, checkpoint and snapshot
+     *  restore): one memcpy per page span. */
     void
     load(Addr addr, const void *src, size_t len)
     {
         const auto *s = static_cast<const uint8_t *>(src);
-        for (size_t i = 0; i < len; ++i)
-            *bytePtr(addr + i) = s[i];
+        while (len) {
+            size_t n = std::min<size_t>(len, PAGE_SIZE - (addr & PAGE_MASK));
+            std::memcpy(bytePtr(addr), s, n);
+            addr += n;
+            s += n;
+            len -= n;
+        }
+    }
+
+    /** One borrowed page: its guest base and PAGE_SIZE host bytes. */
+    using BackingPage = std::pair<Addr, const uint8_t *>;
+
+    /**
+     * Drop all contents, then back the memory with read-only host
+     * pages: a backed page reads as its host bytes and is copied in on
+     * first touch, so writes never reach the source. The memory
+     * borrows the pages until the next clear(); their owner must
+     * outlive it. @p pages must be page-aligned and strictly ascending
+     * by base.
+     */
+    void
+    borrowPages(std::vector<BackingPage> pages)
+    {
+        clear();
+        backing_ = std::move(pages);
     }
 
     /**
@@ -112,14 +139,19 @@ class PhysMem
      *  pointer (hostPage/pagePtr). */
     uint64_t epoch() const { return epoch_; }
 
-    /** Number of pages currently allocated. */
-    size_t allocatedPages() const { return pages_.size(); }
+    /** Number of pages with contents: allocated or borrowed. */
+    size_t
+    allocatedPages() const
+    {
+        return pages_.size() + backing_.size() - backedTouched_;
+    }
 
     /**
-     * Visit every allocated page in ascending address order (for
-     * checkpoints and SSS snapshots). Sorted visitation is load-bearing:
-     * consumers serialize the pages, and two runs that touched the same
-     * pages in different orders must produce identical images.
+     * Visit every allocated or borrowed page in ascending address
+     * order (for checkpoints and SSS snapshots). Sorted visitation is
+     * load-bearing: consumers serialize the pages, and two runs that
+     * touched the same pages in different orders must produce
+     * identical images.
      */
     template <typename Fn>
     void
@@ -131,15 +163,28 @@ class PhysMem
         for (const auto &[pfn, page] : pages_)
             pfns.push_back(pfn);
         std::sort(pfns.begin(), pfns.end());
-        for (Addr pfn : pfns)
-            fn(pfn << PAGE_SHIFT, pages_.find(pfn)->second->data());
+        // Merge with the (sorted) backing table; a touched backed page
+        // is visited once, through its allocated copy.
+        size_t b = 0;
+        for (Addr pfn : pfns) {
+            Addr base = pfn << PAGE_SHIFT;
+            for (; b < backing_.size() && backing_[b].first <= base; ++b)
+                if (backing_[b].first < base)
+                    fn(backing_[b].first, backing_[b].second);
+            fn(base, pages_.find(pfn)->second->data());
+        }
+        for (; b < backing_.size(); ++b)
+            fn(backing_[b].first, backing_[b].second);
     }
 
-    /** Drop all contents (used when restoring a checkpoint). */
+    /** Drop all contents and any borrowed pages (used when restoring
+     *  a checkpoint). */
     void
     clear()
     {
         pages_.clear();
+        backing_.clear();
+        backedTouched_ = 0;
         lastPfn_ = ~0ULL;
         lastPage_ = nullptr;
         ++epoch_;
@@ -155,11 +200,28 @@ class PhysMem
         if (pfn != lastPfn_) {
             auto &slot = pages_[pfn];
             if (!slot)
-                slot = std::make_unique<Page>(PAGE_SIZE, 0);
+                slot = newPage(pfn << PAGE_SHIFT);
             lastPfn_ = pfn;
             lastPage_ = slot->data();
         }
         return lastPage_ + (addr & PAGE_MASK);
+    }
+
+    /**
+     * First touch of the page at @p base: a copy of its borrowed bytes,
+     * else zeros. Kept out of line so bytePtr() stays small enough to
+     * inline into every memory access.
+     */
+    [[gnu::noinline]] std::unique_ptr<Page>
+    newPage(Addr base)
+    {
+        auto it = std::lower_bound(
+            backing_.begin(), backing_.end(), base,
+            [](const BackingPage &p, Addr a) { return p.first < a; });
+        if (it == backing_.end() || it->first != base)
+            return std::make_unique<Page>(PAGE_SIZE, 0);
+        ++backedTouched_;
+        return std::make_unique<Page>(it->second, it->second + PAGE_SIZE);
     }
 
     Addr base_;
@@ -168,6 +230,10 @@ class PhysMem
     Addr lastPfn_ = ~0ULL;
     uint8_t *lastPage_ = nullptr;
     uint64_t epoch_ = 0;
+    /** Borrowed read-only pages, sorted by base; see borrowPages(). */
+    std::vector<BackingPage> backing_;
+    /** Backed pages already copied into pages_. */
+    size_t backedTouched_ = 0;
 };
 
 } // namespace minjie::mem

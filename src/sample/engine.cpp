@@ -1,13 +1,9 @@
 #include "sample/engine.h"
 
-#include <cstring>
-#include <deque>
-
-#include <sys/wait.h>
-#include <unistd.h>
-#if defined(__GLIBC__)
-#include <stdio_ext.h> // __fpurge: discard inherited stdio buffers
-#endif
+#include <algorithm>
+#include <atomic>
+#include <exception>
+#include <thread>
 
 #include "checkpoint/checkpoint.h"
 #include "common/clock.h"
@@ -18,55 +14,6 @@
 namespace minjie::sample {
 
 namespace {
-
-constexpr uint64_t BLOB_MAGIC = 0x4d4a534c30303031ULL; // "MJSL0001"
-
-void
-put64(std::vector<uint8_t> &v, uint64_t x)
-{
-    size_t off = v.size();
-    v.resize(off + 8);
-    std::memcpy(v.data() + off, &x, 8);
-}
-
-uint64_t
-get64(const std::vector<uint8_t> &v, size_t &off)
-{
-    uint64_t x = 0;
-    if (off + 8 <= v.size()) {
-        std::memcpy(&x, v.data() + off, 8);
-        off += 8;
-    }
-    return x;
-}
-
-bool
-writeAll(int fd, const uint8_t *p, size_t n)
-{
-    while (n) {
-        ssize_t w = ::write(fd, p, n);
-        if (w <= 0)
-            return false;
-        p += static_cast<size_t>(w);
-        n -= static_cast<size_t>(w);
-    }
-    return true;
-}
-
-/** Drain @p fd to EOF (the child writes one blob and exits). */
-std::vector<uint8_t>
-readAll(int fd)
-{
-    std::vector<uint8_t> out;
-    uint8_t buf[4096];
-    for (;;) {
-        ssize_t r = ::read(fd, buf, sizeof(buf));
-        if (r <= 0)
-            break;
-        out.insert(out.end(), buf, buf + r);
-    }
-    return out;
-}
 
 /** Snapshot the whole SoC counter tree with bare "core0.*" keys. */
 obs::CounterSnapshot
@@ -80,47 +27,6 @@ socSnapshot(xs::Soc &soc)
 }
 
 } // namespace
-
-std::vector<uint8_t>
-encodeSlice(const SliceResult &r)
-{
-    std::vector<uint8_t> v;
-    put64(v, BLOB_MAGIC);
-    put64(v, r.ok ? 1 : 0);
-    put64(v, r.cycles);
-    put64(v, r.instrs);
-    put64(v, r.counters.values.size());
-    for (const auto &[k, val] : r.counters.values) {
-        put64(v, k.size());
-        v.insert(v.end(), k.begin(), k.end());
-        put64(v, val);
-    }
-    return v;
-}
-
-bool
-decodeSlice(const std::vector<uint8_t> &blob, SliceResult &r)
-{
-    size_t off = 0;
-    if (get64(blob, off) != BLOB_MAGIC)
-        return false;
-    r.ok = get64(blob, off) != 0;
-    r.cycles = get64(blob, off);
-    r.instrs = get64(blob, off);
-    uint64_t n = get64(blob, off);
-    r.counters.values.clear();
-    for (uint64_t i = 0; i < n; ++i) {
-        uint64_t len = get64(blob, off);
-        if (off + len + 8 > blob.size())
-            return false;
-        std::string key(reinterpret_cast<const char *>(blob.data()) +
-                            off,
-                        len);
-        off += len;
-        r.counters.values[std::move(key)] = get64(blob, off);
-    }
-    return true;
-}
 
 SliceResult
 runSlice(const PackReader &pack, size_t i, const SampleConfig &cfg)
@@ -160,56 +66,6 @@ runSlice(const PackReader &pack, size_t i, const SampleConfig &cfg)
     return res;
 }
 
-namespace {
-
-struct Inflight
-{
-    pid_t pid;
-    int fd;
-    size_t idx;
-};
-
-/** Child body: evaluate one slice, pipe the blob back, _exit. Never
- *  returns. The child inherits the parent's read-only pack mapping
- *  (or COW heap copy), so no checkpoint bytes are re-transferred. */
-[[noreturn]] void
-childMain(const PackReader &pack, size_t idx, const SampleConfig &cfg,
-          int wfd)
-{
-#if defined(__GLIBC__)
-    // Discard stdio bytes duplicated from the parent by fork(); the
-    // parent flushes its own copy. This worker writes only to wfd.
-    __fpurge(stdout);
-    __fpurge(stdin);
-#endif
-    if (idx == cfg.crashSliceForTest)
-        ::_exit(42); // simulated crash: die without reporting
-    SliceResult r = runSlice(pack, idx, cfg);
-    auto blob = encodeSlice(r);
-    writeAll(wfd, blob.data(), blob.size());
-    ::close(wfd);
-    ::_exit(0);
-}
-
-/** Reap the oldest in-flight worker into its result slot. */
-void
-reapOne(std::deque<Inflight> &inflight, std::vector<SliceResult> &out)
-{
-    Inflight f = inflight.front();
-    inflight.pop_front();
-    std::vector<uint8_t> blob = readAll(f.fd);
-    ::close(f.fd);
-    int status = 0;
-    ::waitpid(f.pid, &status, 0);
-    bool cleanExit = WIFEXITED(status) && WEXITSTATUS(status) == 0;
-    SliceResult r;
-    if (!cleanExit || !decodeSlice(blob, r))
-        r = SliceResult{}; // crashed / truncated pipe: failed slice
-    out[f.idx] = std::move(r);
-}
-
-} // namespace
-
 SampleReport
 runSampled(const PackReader &pack, const SampleConfig &cfg)
 {
@@ -219,41 +75,32 @@ runSampled(const PackReader &pack, const SampleConfig &cfg)
     rep.slices.resize(n);
 
     Stopwatch sw;
-    if (cfg.workers <= 1) {
-        for (size_t i = 0; i < n; ++i)
-            rep.slices[i] = runSlice(pack, i, cfg);
-    } else {
-        std::deque<Inflight> inflight;
-        size_t next = 0;
-        while (next < n || !inflight.empty()) {
-            if (next < n && inflight.size() < cfg.workers) {
-                int fds[2];
-                if (::pipe(fds) != 0) {
-                    rep.slices[next] = runSlice(pack, next, cfg);
-                    ++next;
-                    continue;
-                }
-                pid_t pid = ::fork();
-                if (pid == 0) {
-                    ::close(fds[0]);
-                    childMain(pack, next, cfg, fds[1]);
-                }
-                ::close(fds[1]);
-                if (pid < 0) {
-                    // Fork pressure: degrade to in-process, results
-                    // stay identical (the slice itself is
-                    // deterministic either way).
-                    ::close(fds[0]);
-                    rep.slices[next] = runSlice(pack, next, cfg);
-                } else {
-                    inflight.push_back({pid, fds[0], next});
-                }
-                ++next;
-            } else {
-                reapOne(inflight, rep.slices);
+    // Threads claim slice indices from one counter and each writes
+    // only its own slot, so scheduling cannot change any result.
+    std::atomic<size_t> next{0};
+    auto drain = [&] {
+        for (size_t i = next++; i < n; i = next++) {
+            try {
+                rep.slices[i] = runSlice(pack, i, cfg);
+            } catch (...) {
+                rep.slices[i] = SliceResult{}; // failed slice
             }
         }
+    };
+    size_t want = cfg.workers > 1 ? std::min<size_t>(cfg.workers, n) : 0;
+    std::vector<std::thread> pool;
+    pool.reserve(want); // emplace_back below then throws only on spawn
+    try {
+        while (pool.size() < want)
+            pool.emplace_back(drain);
+    } catch (const std::exception &) {
+        // Thread pressure: the threads that did start take every
+        // slice, or this thread does when none started; each slice is
+        // deterministic, so the results are the same.
     }
+    for (auto &t : pool)
+        t.join();
+    drain(); // what no thread took: workers <= 1, or spawn failed
     rep.wallSec = sw.elapsedSec();
 
     // Deterministic reduction: checkpoint order, exact integer

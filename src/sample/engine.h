@@ -1,14 +1,15 @@
 /**
  * @file
- * Fork-fanout sampled-simulation engine (paper Section III-D3).
+ * Threaded sampled-simulation engine (paper Section III-D3).
  *
  * Each SimPoint slice restores a checkpoint from the shared read-only
  * pack, optionally fast-forwards `warmupInsts` functionally on NEMU,
  * then measures a detailed window on the XIANGSHAN core. Slices are
- * independent, so the engine forks one worker per slice (at most
- * `workers` in flight, LightSSS-style COW fork) and pipes back the
- * window's CounterSnapshot; a crashing slice kills only its own
- * process and is reported as a failed slice, never as a lost run.
+ * independent, so the engine runs them on a pool of `workers` threads
+ * in one process. Each slice builds its own SoC and borrows the pack's
+ * pages instead of copying the memory image, copying in only the pages
+ * its window touches. A slice that fails (or throws) is reported as a
+ * failed slice, never as a lost run.
  *
  * Reduction is deterministic by construction: results are indexed by
  * slice and merged in checkpoint order with exact integer SimPoint
@@ -33,7 +34,7 @@ namespace minjie::sample {
 
 struct SampleConfig
 {
-    /** Forked workers in flight; <= 1 runs slices in-process. */
+    /** Worker threads; <= 1 runs every slice on the calling thread. */
     unsigned workers = 1;
     /** Functional-warmup instructions on NEMU before the detailed
      *  window (moves the measurement point past the checkpoint). */
@@ -46,9 +47,8 @@ struct SampleConfig
     uint64_t dramMb = 256;
     xs::CoreConfig coreCfg = xs::CoreConfig::nh();
 
-    /** Test hook: the slice with this index dies without reporting
-     *  (forked: child _exit(42); in-process: marked failed), so tests
-     *  can pin crash isolation without a real crash. */
+    /** Test hook: the slice with this index fails without a result,
+     *  so tests can pin that a failed slice costs only itself. */
     size_t crashSliceForTest = SIZE_MAX;
 };
 
@@ -74,7 +74,7 @@ struct SampleReport
      *  exact-sum invariant survives the weighting (linearity). */
     obs::CpiStack stack;
     unsigned failures = 0;
-    /** Parent wall-clock over all slices (reporting only). */
+    /** Wall-clock over all slices (reporting only). */
     double wallSec = 0;
 
     bool allOk() const { return failures == 0; }
@@ -102,14 +102,10 @@ struct SampleReport
 SliceResult runSlice(const PackReader &pack, size_t i,
                      const SampleConfig &cfg);
 
-/** Evaluate every slice of @p pack and reduce. */
+/** Evaluate every slice of @p pack on `cfg.workers` threads and
+ *  reduce in checkpoint order. */
 SampleReport runSampled(const PackReader &pack,
                         const SampleConfig &cfg);
-
-/** Wire format of one slice result (pipe payload; exposed for
- *  tests). Encodes ok/cycles/instrs plus every counter key. */
-std::vector<uint8_t> encodeSlice(const SliceResult &r);
-bool decodeSlice(const std::vector<uint8_t> &blob, SliceResult &r);
 
 } // namespace minjie::sample
 

@@ -256,9 +256,11 @@ PackReader::parse()
     weightDen_ = rd64(data_ + 24);
     pagePoolOff_ = rd64(data_ + 32);
     nPoolPages_ = rd64(data_ + 40);
-    if ((HEADER_U64 + TABLE_U64 * nCheckpoints_) * 8 > len_)
+    // Counts come from the file: compare by division so a huge value
+    // cannot wrap the product past the check.
+    if (nCheckpoints_ > (len_ / 8 - HEADER_U64) / TABLE_U64)
         return false;
-    if (pagePoolOff_ > len_ || nPoolPages_ * PAGE > len_ - pagePoolOff_)
+    if (pagePoolOff_ > len_ || nPoolPages_ > (len_ - pagePoolOff_) / PAGE)
         return false;
     return true;
 }
@@ -300,19 +302,25 @@ PackReader::restoreInto(size_t i, iss::ArchState &state,
     uint64_t entryOff = rd64(te + 24);
     uint64_t nEntries = rd64(te + 32);
     size_t archLen = checkpoint::archHeaderBytes();
-    if (archOff + archLen > len_ || entryOff + nEntries * 16 > len_)
+    if (archOff > len_ || archLen > len_ - archOff || entryOff > len_ ||
+        nEntries > (len_ - entryOff) / 16)
         return false;
     if (!checkpoint::restoreArch(data_ + archOff, archLen, state))
         return false;
 
-    mem.clear();
+    // Borrow the pool pages instead of copying them: a slice copies
+    // in only the pages its window touches.
+    std::vector<mem::PhysMem::BackingPage> pages;
+    pages.reserve(nEntries);
     for (uint64_t e = 0; e < nEntries; ++e) {
         uint64_t base = rd64(data_ + entryOff + e * 16);
         uint64_t idx = rd64(data_ + entryOff + e * 16 + 8);
-        if (idx >= nPoolPages_)
+        if (idx >= nPoolPages_ || (base & (PAGE - 1)) != 0 ||
+            (!pages.empty() && base <= pages.back().first))
             return false;
-        mem.load(base, data_ + pagePoolOff_ + idx * PAGE, PAGE);
+        pages.emplace_back(base, data_ + pagePoolOff_ + idx * PAGE);
     }
+    mem.borrowPages(std::move(pages));
     return true;
 }
 

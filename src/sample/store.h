@@ -8,9 +8,9 @@
  * `std::vector<uint8_t>`, so N slices of one program carried N copies
  * of the (mostly identical) memory image. The pack stores each distinct
  * page once — content-hashed across checkpoints, zero pages elided
- * entirely — and the reader maps the file read-only, so forked workers
- * share one physical copy of the pool through the page cache instead of
- * re-faulting private heap copies.
+ * entirely — and the reader maps the file read-only. A restored slice
+ * borrows its pages from that one copy and copies in only the pages its
+ * window touches.
  *
  * Weights are stored as exact integers (numerator over a common
  * denominator, the SimPoint interval count): the reduction then runs in
@@ -64,7 +64,7 @@ class PackWriter
     /** Serialize the pack to bytes (deterministic for equal input). */
     std::vector<uint8_t> bytes() const;
 
-    /** Write the pack to @p path (unbuffered POSIX I/O; fork-safe).
+    /** Write the pack to @p path (unbuffered POSIX I/O).
      *  @return false on any I/O error. */
     bool writeFile(const std::string &path) const;
 
@@ -95,8 +95,8 @@ class PackWriter
     size_t totalRefs_ = 0;
 };
 
-/** Read-only view of a pack: either an mmap of the file (shared
- *  copy-free across forked workers) or an owned byte buffer. */
+/** Read-only view of a pack: either an mmap of the file or an owned
+ *  byte buffer. Safe to read from many threads at once. */
 class PackReader
 {
   public:
@@ -122,8 +122,12 @@ class PackReader
      *  reduction itself never leaves integer arithmetic). */
     double weight(size_t i) const;
 
-    /** Restore checkpoint @p i into @p state / @p mem. Clears @p mem
-     *  first; elided zero pages read back as zero-fill. */
+    /** Restore checkpoint @p i into @p state / @p mem. Replaces the
+     *  contents of @p mem; elided zero pages read back as zero-fill.
+     *  @p mem borrows this pack's pool pages (PhysMem::borrowPages)
+     *  until its next clear(), so the pack must outlive that use.
+     *  @return false on a malformed entry (pool index out of range,
+     *  unaligned or unsorted page base). */
     bool restoreInto(size_t i, iss::ArchState &state,
                      mem::PhysMem &mem) const;
 

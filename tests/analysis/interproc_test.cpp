@@ -83,29 +83,6 @@ TEST(Interproc, ForkPathReachesBufferedStdioInHelper)
         << f.callPath[1];
 }
 
-TEST(Interproc, SampleWorkerForkPathReachesBufferedStdio)
-{
-    // The sampled-simulation engine forks one worker per SimPoint
-    // slice; a helper that buffers stdio on that path double-emits
-    // bytes pending at fork(). src/sample/ roots must fire exactly
-    // like src/lightsss/ ones.
-    auto res = lint({
-        loadFixture("frk2_sample_root.cpp", "src/sample/worker_root.cpp"),
-        loadFixture("frk2_helper_bad.cpp", "src/util/progress.cpp"),
-    });
-    auto ids = idCounts(res);
-    EXPECT_EQ(ids["MJ-FRK2-001"], 1);
-    ASSERT_EQ(res.findings.size(), 1u);
-    const Finding &f = res.findings[0];
-    EXPECT_EQ(f.path, "src/util/progress.cpp");
-    ASSERT_EQ(f.callPath.size(), 2u);
-    EXPECT_TRUE(frameMentions(f.callPath, 0,
-                              "minjie::sample::evalSliceForked"))
-        << f.callPath[0];
-    EXPECT_TRUE(frameMentions(f.callPath, 0, "src/sample/"))
-        << f.callPath[0];
-}
-
 TEST(Interproc, ForkPathToleratesStderrOnlyHelper)
 {
     auto res = lint({

@@ -1,13 +1,16 @@
 /**
  * @file
  * Sampled-simulation engine tests: the .mjk pack store (dedup, mmap,
- * exact integer weights) and the fork-fanout evaluation engine
- * (worker-count invariance, crash isolation, warmup semantics).
+ * exact integer weights, borrowed-page restore) and the threaded
+ * evaluation engine (worker-count invariance, failed-slice isolation,
+ * warmup semantics).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 
 #include "checkpoint/generator.h"
 #include "iss/system.h"
@@ -140,6 +143,91 @@ TEST(SampleStore, MmapFileMatchesInMemory)
     std::remove(path.c_str());
 }
 
+TEST(SampleStore, SerializeAfterRestoreMatchesGenerator)
+{
+    // A restored slice borrows the pack's pages; serializing it must
+    // give back the generator's image byte for byte, both as restored
+    // and after NEMU has run on (and written into) the borrowed pages.
+    auto gen = makeGen();
+    auto pack = makePack(gen);
+    ASSERT_EQ(pack.count(), gen.checkpoints.size());
+
+    for (size_t i = 0; i < pack.count(); ++i) {
+        iss::ArchState st;
+        mem::PhysMem m(0x80000000, 1 << 26);
+        ASSERT_TRUE(pack.restoreInto(i, st, m));
+        EXPECT_EQ(cp::serialize(st, m).bytes, gen.checkpoints[i].bytes)
+            << "checkpoint " << i;
+
+        // Warmup: the same 5000 NEMU instructions from the pack and
+        // from the generator's own checkpoint.
+        auto warm = [](auto &&restoreFn) {
+            iss::System sys(64);
+            nemu::Nemu nemu(sys.bus, sys.dram, 0, 0);
+            EXPECT_TRUE(restoreFn(nemu.state(), sys.dram));
+            nemu.flushUopCache();
+            nemu.setHaltFn([&] { return sys.simctrl.exited(); });
+            nemu.run(5'000);
+            return cp::serialize(nemu.state(), sys.dram).bytes;
+        };
+        auto fromPack = warm([&](iss::ArchState &s, mem::PhysMem &pm) {
+            return pack.restoreInto(i, s, pm);
+        });
+        auto fromGen = warm([&](iss::ArchState &s, mem::PhysMem &pm) {
+            return cp::restore(gen.checkpoints[i], s, pm);
+        });
+        EXPECT_EQ(fromPack, fromGen) << "checkpoint " << i;
+    }
+}
+
+TEST(SampleStore, RejectsUnsortedPageEntries)
+{
+    // Borrowed pages are looked up by binary search, so restore must
+    // refuse a page table that is not strictly ascending.
+    auto gen = makeGen();
+    ASSERT_GE(gen.checkpoints.size(), 1u);
+    sample::PackWriter w(1);
+    ASSERT_TRUE(w.add(gen.checkpoints[0], 1));
+    auto bytes = w.bytes();
+    // Header (6 u64) then table entry {instCount, weightNum, archOff,
+    // pageEntryOff, nPageEntries}: swap the first two page bases.
+    uint64_t entryOff = 0, nEntries = 0;
+    std::memcpy(&entryOff, bytes.data() + 6 * 8 + 3 * 8, 8);
+    std::memcpy(&nEntries, bytes.data() + 6 * 8 + 4 * 8, 8);
+    ASSERT_GE(nEntries, 2u);
+    std::swap_ranges(bytes.begin() + static_cast<ptrdiff_t>(entryOff),
+                     bytes.begin() + static_cast<ptrdiff_t>(entryOff + 8),
+                     bytes.begin() + static_cast<ptrdiff_t>(entryOff + 16));
+
+    sample::PackReader r;
+    ASSERT_TRUE(r.openMemory(std::move(bytes)));
+    iss::ArchState st;
+    mem::PhysMem m(0x80000000, 1 << 26);
+    EXPECT_FALSE(r.restoreInto(0, st, m));
+}
+
+TEST(SampleStore, RejectsCountsThatOverflow)
+{
+    // Header and table counts come from the file; a value whose
+    // product with its element size wraps must be refused, not read.
+    auto good = sample::packFromGen(makeGen());
+    auto withU64 = [&](size_t off, uint64_t v) {
+        auto b = good;
+        std::memcpy(b.data() + off, &v, 8);
+        return b;
+    };
+    sample::PackReader r;
+    EXPECT_FALSE(r.openMemory(withU64(2 * 8, 1ULL << 61))); // nCheckpoints
+    EXPECT_FALSE(r.openMemory(withU64(5 * 8, 1ULL << 60))); // nPoolPages
+
+    // Table entry 0, nPageEntries: the header still parses, the
+    // restore must fail.
+    ASSERT_TRUE(r.openMemory(withU64(6 * 8 + 4 * 8, 1ULL << 60)));
+    iss::ArchState st;
+    mem::PhysMem m(0x80000000, 1 << 26);
+    EXPECT_FALSE(r.restoreInto(0, st, m));
+}
+
 TEST(SampleStore, RejectsGarbageAndTruncation)
 {
     sample::PackReader r;
@@ -150,27 +238,6 @@ TEST(SampleStore, RejectsGarbageAndTruncation)
     bytes.resize(bytes.size() / 2); // chop the page pool
     EXPECT_FALSE(r.openMemory(std::move(bytes)));
     EXPECT_FALSE(r.openFile("/nonexistent/pack.mjk"));
-}
-
-TEST(SampleEngine, SliceBlobRoundtrip)
-{
-    sample::SliceResult s;
-    s.ok = true;
-    s.cycles = 123456;
-    s.instrs = 7890;
-    s.counters.set("core0.cycles", 123456);
-    s.counters.set("core0.topdown.retiring", 42);
-    s.counters.set("mem.l2.hits", 17);
-
-    sample::SliceResult d;
-    ASSERT_TRUE(sample::decodeSlice(sample::encodeSlice(s), d));
-    EXPECT_EQ(d.ok, s.ok);
-    EXPECT_EQ(d.cycles, s.cycles);
-    EXPECT_EQ(d.instrs, s.instrs);
-    EXPECT_EQ(d.counters, s.counters);
-
-    sample::SliceResult bad;
-    EXPECT_FALSE(sample::decodeSlice({1, 2, 3}, bad));
 }
 
 TEST(SampleEngine, WorkerCountInvariance)
@@ -224,9 +291,9 @@ TEST(SampleEngine, WeightedStackKeepsExactSum)
     EXPECT_GT(rep.weightedIpc(), 0.0);
 }
 
-TEST(SampleEngine, CrashIsolation)
+TEST(SampleEngine, FailedSliceIsIsolated)
 {
-    // A dying worker loses its own slice and nothing else.
+    // A failed slice loses its own result and nothing else.
     auto pack = makePack(makeGen());
     ASSERT_GE(pack.count(), 2u);
 
@@ -266,11 +333,11 @@ TEST(SampleEngine, FunctionalWarmupAdvancesMeasurementPoint)
     EXPECT_NE(a.counters, b.counters);
 }
 
-TEST(SampleEngine, InProcessAndForkedSliceAgree)
+TEST(SampleEngine, ThreadedAndDirectSliceAgree)
 {
-    // The fork fallback path (pipe/fork failure) runs slices
-    // in-process; both paths must produce identical results for the
-    // invariance guarantee to hold under fork pressure.
+    // A slice run on a pool thread and the same slice run directly on
+    // the calling thread (the fallback when no thread can be started)
+    // must agree for the invariance guarantee to hold.
     auto pack = makePack(makeGen());
     sample::SampleConfig cfg;
     cfg.measureInsts = 3'000;
@@ -278,7 +345,7 @@ TEST(SampleEngine, InProcessAndForkedSliceAgree)
     auto direct = sample::runSlice(pack, 0, cfg);
     ASSERT_TRUE(direct.ok);
 
-    cfg.workers = 2; // forked evaluation of the same slice
+    cfg.workers = 2; // threaded evaluation of the same slice
     auto rep = sample::runSampled(pack, cfg);
     ASSERT_TRUE(rep.slices[0].ok);
     EXPECT_EQ(rep.slices[0].cycles, direct.cycles);

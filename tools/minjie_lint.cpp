@@ -10,6 +10,7 @@
  * 2 usage / I/O error.
  */
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -85,7 +86,20 @@ main(int argc, char **argv)
         } else if (!std::strcmp(a, "--update-baseline")) {
             updateBaseline = true;
         } else if (!std::strcmp(a, "--baseline-budget")) {
-            baselineBudget = std::strtol(needArg(i), nullptr, 10);
+            // An unparsed or negative budget would silently run as 0
+            // or switch the ratchet off.
+            const char *arg = needArg(i);
+            char *end = nullptr;
+            errno = 0;
+            baselineBudget = std::strtol(arg, &end, 10);
+            if (end == arg || *end != '\0' || errno == ERANGE ||
+                baselineBudget < 0) {
+                std::fprintf(stderr,
+                             "minjie-lint: invalid --baseline-budget %s "
+                             "(want a count >= 0)\n",
+                             arg);
+                return 2;
+            }
         } else if (!std::strcmp(a, "--rule")) {
             cfg.onlyRules.push_back(needArg(i));
         } else if (!std::strcmp(a, "--list-rules")) {
@@ -112,6 +126,13 @@ main(int argc, char **argv)
             for (const std::string &dir : rule->scope())
                 std::printf("             scope: %s\n", dir.c_str());
         }
+        for (const auto &rule : engine.graphRules())
+            std::printf("%-12s %s\n             scope: call graph\n",
+                        std::string(rule->id()).c_str(),
+                        std::string(rule->summary()).c_str());
+        std::printf("%-12s %s\n             scope: everywhere\n",
+                    "MJ-SUP-001",
+                    "lint:allow without a rule id or a justification");
         return 0;
     }
 

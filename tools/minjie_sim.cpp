@@ -49,7 +49,7 @@ struct Options
     xs::ModelOpts model;     // --xs-no-* fast-path ablations
 
     // Sampled simulation (--sample): SimPoint checkpoints evaluated
-    // across forked workers instead of one full detailed run.
+    // on worker threads instead of one full detailed run.
     bool sample = false;
     unsigned workers = 1;
     uint64_t warmup = 0;
@@ -76,8 +76,8 @@ usage()
         "  --xs-no-bitset reference scan-based scheduling (xiangshan)\n"
         "  --xs-no-skip   disable event-driven idle-cycle skipping\n"
         "  --xs-no-batch  per-instruction commit probe delivery\n"
-        "  --sample       SimPoint sampled evaluation (fork-fanout)\n"
-        "  --workers N    forked slice workers (default 1)\n"
+        "  --sample       SimPoint sampled evaluation (threaded slices)\n"
+        "  --workers N    slice worker threads (default 1)\n"
         "  --warmup M     functional-warmup instructions per slice\n"
         "  --measure N    detailed window per slice (default 20000)\n"
         "  --interval N   SimPoint interval length (default 50000)\n"
