@@ -55,7 +55,7 @@ main()
     for (size_t i = 0; i < gen.checkpoints.size(); ++i) {
         const auto &cp = gen.checkpoints[i];
         xs::Soc soc(xs::CoreConfig::nh());
-        if (!restore(cp, soc.core(0).oracleState(),
+        if (!restore(gen.checkpoints, i, soc.core(0).oracleState(),
                      soc.system().dram)) {
             std::printf("      checkpoint %zu: restore FAILED\n", i);
             return 1;

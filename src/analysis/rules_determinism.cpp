@@ -19,6 +19,8 @@ const std::vector<std::string> DET_SCOPE = {
     "src/difftest/",
     "src/archdb/",
     "src/obs/",
+    // BBVs, SimPoint picks and the page pool feed the .mjk bytes.
+    "src/checkpoint/",
     "src/sample/", // weighted reduction: worker-count invariant
     "src/xiangshan/", // DUT timing model: cycle-exact across schedulers
     "tools/",

@@ -1,6 +1,7 @@
 #include "checkpoint/checkpoint.h"
 
 #include <cstring>
+#include <span>
 
 namespace minjie::checkpoint {
 
@@ -173,6 +174,94 @@ restore(const Checkpoint &cp, iss::ArchState &st, mem::PhysMem &mem)
         mem.load(base, v.data() + off, mem::PhysMem::PAGE_SIZE);
         off += mem::PhysMem::PAGE_SIZE;
     }
+    return true;
+}
+
+void
+CheckpointSet::capture(size_t i, const iss::ArchState &st,
+                       const mem::PhysMem &mem, uint64_t instCount)
+{
+    Entry e;
+    e.instCount = instCount;
+    e.weight = entries_[i].weight;
+    serializeArch(e.arch, st);
+    e.pages.reserve(mem.allocatedPages());
+    // Hints: the previous capture's page at the same address. Both
+    // lists ascend by base, so one cursor walks them in step.
+    std::span<const PageRef> prev;
+    if (last_ < entries_.size())
+        prev = entries_[last_].pages;
+    size_t p = 0;
+    mem.forEachPage([&](Addr base, const uint8_t *data) {
+        if (pageIsZero(data))
+            return;
+        while (p < prev.size() && prev[p].base < base)
+            ++p;
+        uint32_t hint = p < prev.size() && prev[p].base == base
+                            ? prev[p].idx
+                            : PagePool::NONE;
+        e.pages.push_back({base, pool_.intern(data, hint)});
+    });
+    entries_[i] = std::move(e);
+    last_ = i;
+}
+
+bool
+CheckpointSet::add(const Checkpoint &cp)
+{
+    const auto &v = cp.bytes;
+    size_t archLen = archHeaderBytes();
+    if (v.size() < archLen + 8)
+        return false;
+    Entry e;
+    e.instCount = cp.instCount;
+    e.weight = cp.weight;
+    e.arch.assign(v.begin(), v.begin() + static_cast<ptrdiff_t>(archLen));
+    size_t off = archLen;
+    uint64_t pages = get64(v, off);
+    for (uint64_t p = 0; p < pages; ++p) {
+        Addr base = get64(v, off);
+        if (off + mem::PhysMem::PAGE_SIZE > v.size())
+            return false;
+        e.pages.push_back({base, pool_.intern(v.data() + off)});
+        off += mem::PhysMem::PAGE_SIZE;
+    }
+    entries_.push_back(std::move(e));
+    return true;
+}
+
+Checkpoint
+CheckpointSet::image(size_t i) const
+{
+    const Entry &e = entries_[i];
+    Checkpoint cp;
+    cp.instCount = e.instCount;
+    cp.weight = e.weight;
+    auto &v = cp.bytes;
+    v.reserve(e.arch.size() + 8 +
+              e.pages.size() * (8 + mem::PhysMem::PAGE_SIZE));
+    v.assign(e.arch.begin(), e.arch.end());
+    put64(v, e.pages.size());
+    for (const auto &[base, idx] : e.pages) {
+        put64(v, base);
+        const uint8_t *page = pool_.page(idx);
+        v.insert(v.end(), page, page + mem::PhysMem::PAGE_SIZE);
+    }
+    return cp;
+}
+
+bool
+restore(const CheckpointSet &set, size_t i, iss::ArchState &st,
+        mem::PhysMem &mem)
+{
+    if (i >= set.size())
+        return false;
+    const auto &e = set[i];
+    if (!restoreArch(e.arch.data(), e.arch.size(), st))
+        return false;
+    mem.clear();
+    for (const auto &[base, idx] : e.pages)
+        mem.load(base, set.pool().page(idx), mem::PhysMem::PAGE_SIZE);
     return true;
 }
 

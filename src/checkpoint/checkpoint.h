@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "checkpoint/pagepool.h"
 #include "iss/arch_state.h"
 #include "mem/physmem.h"
 
@@ -38,8 +39,8 @@ struct Checkpoint
 /**
  * Byte size of the fixed architectural-state header that starts every
  * checkpoint image (magic through the CSR block, memory excluded).
- * The sampled-simulation pack store splits images at this boundary so
- * N checkpoints of one program can share one deduplicated page pool.
+ * A CheckpointSet keeps this header per checkpoint and the memory in
+ * its shared page pool.
  */
 size_t archHeaderBytes();
 
@@ -63,6 +64,72 @@ Checkpoint serialize(const iss::ArchState &state,
  * @return false on a malformed image.
  */
 bool restore(const Checkpoint &cp, iss::ArchState &state,
+             mem::PhysMem &mem);
+
+/** One page of a pooled checkpoint: guest base and pool index. */
+struct PageRef
+{
+    Addr base = 0;
+    uint32_t idx = 0;
+};
+
+/**
+ * The checkpoints of one program over one shared PagePool: each
+ * distinct non-zero page is stored once, however many checkpoints hold
+ * it, and no checkpoint owns a standalone image.
+ */
+class CheckpointSet
+{
+  public:
+    struct Entry
+    {
+        /** Instructions executed before this checkpoint was taken. */
+        uint64_t instCount = 0;
+        /** SimPoint weight (fraction of execution it represents). */
+        double weight = 1.0;
+        std::vector<uint8_t> arch;  ///< serializeArch() header
+        std::vector<PageRef> pages; ///< non-zero pages, ascending base
+    };
+
+    /** Resize to @p n slots; new slots are empty until captured. */
+    void resize(size_t n) { entries_.resize(n); }
+
+    /**
+     * Snapshot @p state and every non-zero page of @p mem into slot
+     * @p i, interning the pages into the pool. A page that still holds
+     * what the previous capture pooled for its address costs one
+     * compare and no hash.
+     */
+    void capture(size_t i, const iss::ArchState &state,
+                 const mem::PhysMem &mem, uint64_t instCount);
+
+    /** Append a standalone image. @return false if it is malformed. */
+    bool add(const Checkpoint &cp);
+
+    /** The standalone image of checkpoint @p i: the bytes serialize()
+     *  gives for its state and memory. */
+    Checkpoint image(size_t i) const;
+
+    size_t size() const { return entries_.size(); }
+    bool empty() const { return entries_.empty(); }
+    Entry &operator[](size_t i) { return entries_[i]; }
+    const Entry &operator[](size_t i) const { return entries_[i]; }
+    auto begin() const { return entries_.begin(); }
+    auto end() const { return entries_.end(); }
+    const PagePool &pool() const { return pool_; }
+
+  private:
+    std::vector<Entry> entries_;
+    PagePool pool_;
+    size_t last_ = SIZE_MAX; ///< slot captured most recently
+};
+
+/**
+ * Restore checkpoint @p i of @p set into @p state / @p mem (copying
+ * its pages; elided zero pages read back as zero-fill).
+ * @return false on a malformed entry.
+ */
+bool restore(const CheckpointSet &set, size_t i, iss::ArchState &state,
              mem::PhysMem &mem);
 
 } // namespace minjie::checkpoint

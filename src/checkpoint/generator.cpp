@@ -15,7 +15,7 @@ generateCheckpoints(const workload::Program &prog,
 {
     GenResult out;
 
-    // ---- pass 1: profile with BBV collection (step-path NEMU) ----
+    // ---- pass 1: profile with BBV collection (chained NEMU) ----
     BbvCollector bbv(intervalInsts);
     {
         iss::System sys(256);
@@ -26,7 +26,7 @@ generateCheckpoints(const workload::Program &prog,
             [&](Addr pc, uint32_t len) { bbv.onBlock(pc, len); });
 
         Stopwatch sw;
-        auto r = nemu.Interp::run(maxInsts);
+        auto r = nemu.run(maxInsts);
         bbv.finish();
         out.totalInsts = r.executed;
         double sec = sw.elapsedSec();
@@ -50,6 +50,8 @@ generateCheckpoints(const workload::Program &prog,
     }
 
     // ---- pass 2: re-run fast and snapshot at interval boundaries ----
+    // Each snapshot interns the live pages straight into the set's
+    // shared pool; no standalone image is built.
     std::vector<std::pair<InstCount, size_t>> boundaries;
     for (size_t i = 0; i < out.simpoints.intervals.size(); ++i) {
         boundaries.push_back(
@@ -72,9 +74,8 @@ generateCheckpoints(const workload::Program &prog,
             auto r = nemu.run(target - executed);
             executed += r.executed;
         }
-        Checkpoint cp = serialize(nemu.state(), sys.dram, executed);
-        cp.weight = out.simpoints.weights[cpIdx];
-        out.checkpoints[cpIdx] = std::move(cp);
+        out.checkpoints.capture(cpIdx, nemu.state(), sys.dram, executed);
+        out.checkpoints[cpIdx].weight = out.simpoints.weights[cpIdx];
     }
     double sec = sw.elapsedSec();
     out.generateMips =

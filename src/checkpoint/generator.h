@@ -2,8 +2,9 @@
  * @file
  * Checkpoint generation flow (paper Section III-D3): profile a program
  * with NEMU collecting BBVs, select representative intervals with
- * SimPoint, then re-run at full interpreter speed and serialize a
- * checkpoint at each selected interval boundary.
+ * SimPoint, then re-run at full interpreter speed and snapshot a
+ * checkpoint at each selected interval boundary into one shared,
+ * content-deduplicated page pool.
  */
 
 #ifndef MINJIE_CHECKPOINT_GENERATOR_H
@@ -17,7 +18,7 @@ namespace minjie::checkpoint {
 
 struct GenResult
 {
-    std::vector<Checkpoint> checkpoints; ///< weights filled in
+    CheckpointSet checkpoints; ///< weights filled in
     SimPoints simpoints;
     InstCount totalInsts = 0;
     double profileMips = 0;  ///< pass-1 (BBV profiling) speed

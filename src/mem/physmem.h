@@ -157,12 +157,7 @@ class PhysMem
     void
     forEachPage(Fn &&fn) const
     {
-        std::vector<Addr> pfns;
-        pfns.reserve(pages_.size());
-        // lint:allow MJ-DET2-001 keys are sorted below before any visit
-        for (const auto &[pfn, page] : pages_)
-            pfns.push_back(pfn);
-        std::sort(pfns.begin(), pfns.end());
+        std::vector<Addr> pfns = allocatedPfns();
         // Merge with the (sorted) backing table; a touched backed page
         // is visited once, through its allocated copy.
         size_t b = 0;
@@ -175,6 +170,19 @@ class PhysMem
         }
         for (; b < backing_.size(); ++b)
             fn(backing_[b].first, backing_[b].second);
+    }
+
+    /**
+     * Visit, in ascending address order, only the pages allocated since
+     * the last clear(): those written or read, including borrowed pages
+     * copied in on first touch. Untouched borrowed pages are skipped.
+     */
+    template <typename Fn>
+    void
+    forEachAllocatedPage(Fn &&fn) const
+    {
+        for (Addr pfn : allocatedPfns())
+            fn(pfn << PAGE_SHIFT, pages_.find(pfn)->second->data());
     }
 
     /** Drop all contents and any borrowed pages (used when restoring
@@ -192,6 +200,19 @@ class PhysMem
 
   private:
     using Page = std::vector<uint8_t>;
+
+    /** Frame numbers of the allocated pages, ascending. */
+    std::vector<Addr>
+    allocatedPfns() const
+    {
+        std::vector<Addr> pfns;
+        pfns.reserve(pages_.size());
+        // lint:allow MJ-DET2-001 keys are sorted below before any visit
+        for (const auto &[pfn, page] : pages_)
+            pfns.push_back(pfn);
+        std::sort(pfns.begin(), pfns.end());
+        return pfns;
+    }
 
     uint8_t *
     bytePtr(Addr addr)

@@ -369,6 +369,18 @@ struct NemuExec
 
         const bool chain = n.chainOn_;
         const bool fastOn = n.fastPathOn_;
+        // BBV profiling: blocks end where the step path ends them (a
+        // control edge, a slow-path control/system instruction, a
+        // trap). Its bookkeeping sits behind the one edge test chaining
+        // already needs, so the unprofiled dispatch pays nothing more.
+        const bool prof = static_cast<bool>(n.blockHook_);
+        const bool edgeSlow = prof || !chain;
+        // Position (retired-instruction count) where the in-flight
+        // block began; inside a chunk, the current position is
+        // st.instret + (chunk - budget).
+        if (prof && n.blockLen_ == 0)
+            n.blockStart_ = st.pc;
+        InstCount blockPos = st.instret - n.blockLen_;
         // State mutated outside run() (DiffTest pokes, checkpoint
         // restore, DRAM clear) invalidates cached host pointers.
         if (n.regimeChanged())
@@ -414,6 +426,28 @@ struct NemuExec
         DISPATCH(); \
     } while (0)
 
+// Close the profiled block at position @p pos; the next one starts at
+// @p nextPc.
+#define END_BLOCK(pos, nextPc) \
+    do { \
+        n.blockHook_(n.blockStart_, \
+                     static_cast<uint32_t>((pos) - blockPos)); \
+        blockPos = (pos); \
+        n.blockStart_ = (nextPc); \
+    } while (0)
+
+// Leave the threaded code at a control edge when chaining is ablated
+// (see CHAIN); report the block first when profiling.
+#define EDGE(targetPc) \
+    do { \
+        if (prof) \
+            END_BLOCK(st.instret + (chunk - budget), (targetPc)); \
+        if (!chain) { \
+            st.pc = (targetPc); \
+            goto block_boundary; \
+        } \
+    } while (0)
+
 // Resolve a control-transfer edge with block chaining. @p field caches
 // the resolved uop index unless the cache was flushed during translate.
 // With chaining ablated, every control transfer leaves the threaded
@@ -422,10 +456,8 @@ struct NemuExec
 // interpreter block boundary the optimization removes.
 #define CHAIN(field, targetPc) \
     do { \
-        if (!chain) { \
-            st.pc = (targetPc); \
-            goto block_boundary; \
-        } \
+        if (edgeSlow) \
+            EDGE(targetPc); \
         int32_t t = u->field; \
         if (t < 0) { \
             Nemu::Uop *cu = u; \
@@ -450,10 +482,8 @@ struct NemuExec
 #define CHAIN_INDIRECT(targetPc) \
     do { \
         Addr tp = (targetPc); \
-        if (!chain) { \
-            st.pc = tp; \
-            goto block_boundary; \
-        } \
+        if (edgeSlow) \
+            EDGE(tp); \
         if (u->indirPc == tp) { \
             u = ubase + u->target; \
             DISPATCH(); \
@@ -749,6 +779,8 @@ struct NemuExec
             ++st.csr.mcycle;
             ++result.executed;
             chunk = budget; // remaining budget becomes the new chunk
+            if (prof && (isControl(op) || isSystem(op) || t.pending()))
+                END_BLOCK(st.instret, st.pc);
             if (flush)
                 n.flushUopCache();
             else if (info.csrWritten)
@@ -776,6 +808,8 @@ struct NemuExec
             st.csr.mcycle += done;
             result.executed += done;
             takeTrap(st, trap, st.pc);
+            if (prof)
+                END_BLOCK(st.instret, st.pc);
             trap = Trap::none();
             result.trapped = true;
             fastmem = fastOn && n.fastMemOk();
@@ -793,6 +827,10 @@ struct NemuExec
             st.csr.mcycle += done;
             result.executed += done;
             takeTrap(st, trap, st.pc);
+            // The faulting fetch is no instruction of the block; an
+            // empty block now starts at the handler.
+            if (prof && st.instret == blockPos)
+                n.blockStart_ = st.pc;
             trap = Trap::none();
             result.trapped = true;
             fastmem = fastOn && n.fastMemOk();
@@ -853,6 +891,8 @@ struct NemuExec
 
 #undef DISPATCH
 #undef NEXT
+#undef END_BLOCK
+#undef EDGE
 #undef CHAIN
 #undef CHAIN_INDIRECT
 #undef LOAD
@@ -861,6 +901,12 @@ struct NemuExec
 
         if (fpDirty)
             st.csr.accumulateFflags(fp::harvestHostFpFlags());
+        if (prof) {
+            // The in-flight block carries over into the next run().
+            n.blockLen_ = static_cast<uint32_t>(st.instret - blockPos);
+            if (n.blockLen_ == 0)
+                n.blockStart_ = ~0ULL;
+        }
         if (!result.halted && self->haltFn_ && self->haltFn_())
             result.halted = true;
         return result;

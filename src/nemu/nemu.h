@@ -118,8 +118,9 @@ class Nemu : public iss::Interp
     /**
      * Basic-block profiling hook for SimPoint BBV collection: invoked
      * with (block start pc, block length in instructions) every time a
-     * control transfer ends a block. Enabling this uses the slower
-     * step-path dispatch.
+     * block ends: at a control transfer, a system instruction, or a
+     * trap. run() and the step path report the same blocks; a block in
+     * flight when run() returns continues into the next call.
      */
     void
     setBlockHook(std::function<void(Addr, uint32_t)> hook)
@@ -274,8 +275,8 @@ class Nemu : public iss::Interp
     isa::Priv regimePriv_ = isa::Priv::M;
     uint64_t regimeEpoch_ = 0;
     std::function<void(Addr, uint32_t)> blockHook_;
-    Addr blockStart_ = ~0ULL; ///< step-path BBV tracking
-    uint32_t blockLen_ = 0;
+    Addr blockStart_ = ~0ULL; ///< in-flight BBV block (~0: none yet)
+    uint32_t blockLen_ = 0;   ///< its instructions so far
 
     // Handler dispatch table, filled by the first run() invocation.
     static const void *const *handlerTable();

@@ -47,9 +47,19 @@ runSlice(const PackReader &pack, size_t i, const SampleConfig &cfg)
         nemu.flushUopCache();
         nemu.setHaltFn([&] { return warm.simctrl.exited(); });
         nemu.run(cfg.warmupInsts);
-        auto cp = checkpoint::serialize(nemu.state(), warm.dram);
-        if (!checkpoint::restore(cp, soc.core(0).oracleState(),
-                                 soc.system().dram))
+        // The SoC borrows the same pack pages, then takes only the
+        // pages NEMU touched and the architectural state; its devices
+        // stay its own.
+        if (!pack.restoreInto(i, soc.core(0).oracleState(),
+                              soc.system().dram))
+            return res;
+        warm.dram.forEachAllocatedPage([&](Addr base, const uint8_t *data) {
+            soc.system().dram.load(base, data, mem::PhysMem::PAGE_SIZE);
+        });
+        std::vector<uint8_t> arch;
+        checkpoint::serializeArch(arch, nemu.state());
+        if (!checkpoint::restoreArch(arch.data(), arch.size(),
+                                     soc.core(0).oracleState()))
             return res;
     } else {
         if (!pack.restoreInto(i, soc.core(0).oracleState(),

@@ -36,132 +36,73 @@ rd64(const uint8_t *p)
     return x;
 }
 
-/** FNV-1a over one page, folded 8 bytes at a time. */
-uint64_t
-hashPage(const uint8_t *page)
-{
-    uint64_t h = 0xcbf29ce484222325ULL;
-    for (size_t i = 0; i < PAGE; i += 8) {
-        uint64_t w;
-        std::memcpy(&w, page + i, 8);
-        h = (h ^ w) * 0x100000001b3ULL;
-    }
-    return h;
-}
-
-bool
-writeAll(int fd, const uint8_t *p, size_t n)
-{
-    while (n) {
-        ssize_t w = ::write(fd, p, n);
-        if (w <= 0)
-            return false;
-        p += static_cast<size_t>(w);
-        n -= static_cast<size_t>(w);
-    }
-    return true;
-}
-
-} // namespace
-
-uint64_t
-PackWriter::poolIndexFor(const uint8_t *page)
-{
-    uint64_t h = hashPage(page);
-    auto &bucket = hashToIdx_[h];
-    for (uint64_t idx : bucket) {
-        if (std::memcmp(pool_.data() + idx * PAGE, page, PAGE) == 0)
-            return idx;
-    }
-    uint64_t idx = pool_.size() / PAGE;
-    pool_.insert(pool_.end(), page, page + PAGE);
-    bucket.push_back(idx);
-    return idx;
-}
-
-bool
-PackWriter::add(const checkpoint::Checkpoint &cp, uint64_t weightNum)
-{
-    const auto &v = cp.bytes;
-    size_t archLen = checkpoint::archHeaderBytes();
-    if (v.size() < archLen + 8)
-        return false;
-
-    Entry e;
-    e.instCount = cp.instCount;
-    e.weightNum = weightNum;
-    e.arch.assign(v.begin(),
-                  v.begin() + static_cast<ptrdiff_t>(archLen));
-
-    size_t off = archLen;
-    uint64_t pages = rd64(v.data() + off);
-    off += 8;
-    for (uint64_t p = 0; p < pages; ++p) {
-        if (off + 8 + PAGE > v.size())
-            return false;
-        uint64_t base = rd64(v.data() + off);
-        off += 8;
-        e.pages.emplace_back(base, poolIndexFor(v.data() + off));
-        off += PAGE;
-    }
-    totalRefs_ += e.pages.size();
-    table_.push_back(std::move(e));
-    return true;
-}
-
+/**
+ * Lay @p set out as a pack. Pool pages are renumbered in first-seen
+ * order (checkpoint order, then ascending page address), so the bytes
+ * depend only on the checkpoints, not on the order they were captured.
+ */
 std::vector<uint8_t>
-PackWriter::bytes() const
+layout(const checkpoint::CheckpointSet &set,
+       const std::vector<uint64_t> &weightNums, uint64_t weightDen)
 {
     // Offsets: header, table, then per-checkpoint arch blob followed
     // by its page-entry array, then the page pool aligned to 4096.
-    size_t n = table_.size();
+    size_t n = set.size();
     uint64_t cursor = (HEADER_U64 + TABLE_U64 * n) * 8;
     std::vector<uint64_t> archOff(n), entryOff(n);
+    std::vector<uint32_t> renum(set.pool().size(),
+                                checkpoint::PagePool::NONE);
+    std::vector<uint32_t> order; // pack pool index -> set pool index
     for (size_t i = 0; i < n; ++i) {
         archOff[i] = cursor;
-        cursor += table_[i].arch.size();
+        cursor += set[i].arch.size();
         entryOff[i] = cursor;
-        cursor += table_[i].pages.size() * 16;
+        cursor += set[i].pages.size() * 16;
+        for (const auto &pg : set[i].pages) {
+            if (renum[pg.idx] == checkpoint::PagePool::NONE) {
+                renum[pg.idx] = static_cast<uint32_t>(order.size());
+                order.push_back(pg.idx);
+            }
+        }
     }
     uint64_t poolOff = (cursor + PAGE - 1) / PAGE * PAGE;
 
     std::vector<uint8_t> out;
-    out.reserve(poolOff + pool_.size());
+    out.reserve(poolOff + order.size() * PAGE);
     put64(out, MAGIC);
     put64(out, VERSION);
     put64(out, n);
-    put64(out, weightDen_);
+    put64(out, weightDen);
     put64(out, poolOff);
-    put64(out, pool_.size() / PAGE);
+    put64(out, order.size());
     for (size_t i = 0; i < n; ++i) {
-        put64(out, table_[i].instCount);
-        put64(out, table_[i].weightNum);
+        put64(out, set[i].instCount);
+        put64(out, weightNums[i]);
         put64(out, archOff[i]);
         put64(out, entryOff[i]);
-        put64(out, table_[i].pages.size());
+        put64(out, set[i].pages.size());
     }
-    for (const auto &e : table_) {
+    for (const auto &e : set) {
         out.insert(out.end(), e.arch.begin(), e.arch.end());
-        for (const auto &[base, idx] : e.pages) {
-            put64(out, base);
-            put64(out, idx);
+        for (const auto &pg : e.pages) {
+            put64(out, pg.base);
+            put64(out, renum[pg.idx]);
         }
     }
     out.resize(poolOff, 0);
-    out.insert(out.end(), pool_.begin(), pool_.end());
+    for (uint32_t idx : order) {
+        const uint8_t *page = set.pool().page(idx);
+        out.insert(out.end(), page, page + PAGE);
+    }
     return out;
 }
 
-bool
-PackWriter::writeFile(const std::string &path) const
+} // namespace
+
+std::vector<uint8_t>
+PackWriter::bytes() const
 {
-    auto img = bytes();
-    int fd = ::open(path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
-    if (fd < 0)
-        return false;
-    bool ok = writeAll(fd, img.data(), img.size());
-    ok = (::close(fd) == 0) && ok;
-    return ok;
+    return layout(set_, weightNums_, weightDen_);
 }
 
 PackReader::~PackReader()
@@ -316,6 +257,7 @@ PackReader::restoreInto(size_t i, iss::ArchState &state,
         uint64_t base = rd64(data_ + entryOff + e * 16);
         uint64_t idx = rd64(data_ + entryOff + e * 16 + 8);
         if (idx >= nPoolPages_ || (base & (PAGE - 1)) != 0 ||
+            !mem.contains(base, PAGE) ||
             (!pages.empty() && base <= pages.back().first))
             return false;
         pages.emplace_back(base, data_ + pagePoolOff_ + idx * PAGE);
@@ -335,14 +277,14 @@ packFromGen(const checkpoint::GenResult &gen)
     uint64_t den = gen.simpoints.assignment.size();
     if (den == 0)
         den = 1;
-    PackWriter w(den);
-    for (const auto &cp : gen.checkpoints) {
-        uint64_t num = static_cast<uint64_t>(
-            std::llround(cp.weight * static_cast<double>(den)));
-        if (!w.add(cp, num))
-            return {};
+    std::vector<uint64_t> nums;
+    for (const auto &e : gen.checkpoints) {
+        if (e.arch.size() != checkpoint::archHeaderBytes())
+            return {}; // a slot that was never captured
+        nums.push_back(static_cast<uint64_t>(
+            std::llround(e.weight * static_cast<double>(den))));
     }
-    return w.bytes();
+    return layout(gen.checkpoints, nums, den);
 }
 
 } // namespace minjie::sample

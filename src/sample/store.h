@@ -4,13 +4,10 @@
  * SimPoint checkpoint of one workload behind a single deduplicated page
  * pool.
  *
- * Serial evaluation kept each checkpoint as its own
- * `std::vector<uint8_t>`, so N slices of one program carried N copies
- * of the (mostly identical) memory image. The pack stores each distinct
- * page once — content-hashed across checkpoints, zero pages elided
- * entirely — and the reader maps the file read-only. A restored slice
- * borrows its pages from that one copy and copies in only the pages its
- * window touches.
+ * The pack stores each distinct page once — the checkpoints' shared
+ * checkpoint::PagePool, zero pages elided entirely — and the reader
+ * maps the file read-only. A restored slice borrows its pages from
+ * that one copy and copies in only the pages its window touches.
  *
  * Weights are stored as exact integers (numerator over a common
  * denominator, the SimPoint interval count): the reduction then runs in
@@ -32,7 +29,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "checkpoint/checkpoint.h"
@@ -45,7 +41,7 @@ struct GenResult;
 
 namespace minjie::sample {
 
-/** Builds a pack in memory; write it out once all checkpoints are in. */
+/** Builds a pack in memory from standalone checkpoint images. */
 class PackWriter
 {
   public:
@@ -55,43 +51,33 @@ class PackWriter
 
     /**
      * Add one serialized checkpoint. The image is split at the
-     * architectural-header boundary; each memory page is content-hashed
+     * architectural-header boundary; its memory pages are interned
      * into the shared pool.
      * @return false if @p cp is malformed.
      */
-    bool add(const checkpoint::Checkpoint &cp, uint64_t weightNum);
+    bool
+    add(const checkpoint::Checkpoint &cp, uint64_t weightNum)
+    {
+        if (!set_.add(cp))
+            return false;
+        weightNums_.push_back(weightNum);
+        totalRefs_ += set_[set_.size() - 1].pages.size();
+        return true;
+    }
 
     /** Serialize the pack to bytes (deterministic for equal input). */
     std::vector<uint8_t> bytes() const;
 
-    /** Write the pack to @p path (unbuffered POSIX I/O).
-     *  @return false on any I/O error. */
-    bool writeFile(const std::string &path) const;
-
-    size_t checkpointCount() const { return table_.size(); }
+    size_t checkpointCount() const { return set_.size(); }
     /** Distinct pages stored (after dedup + zero elision). */
-    size_t poolPages() const { return pool_.size() / PAGE; }
+    size_t poolPages() const { return set_.pool().size(); }
     /** Page references across all checkpoints (before dedup). */
     size_t totalPageRefs() const { return totalRefs_; }
 
   private:
-    static constexpr size_t PAGE = mem::PhysMem::PAGE_SIZE;
-
-    struct Entry
-    {
-        uint64_t instCount;
-        uint64_t weightNum;
-        std::vector<uint8_t> arch;
-        std::vector<std::pair<uint64_t, uint64_t>> pages; // base, idx
-    };
-
-    uint64_t poolIndexFor(const uint8_t *page);
-
     uint64_t weightDen_;
-    std::vector<Entry> table_;
-    std::vector<uint8_t> pool_;
-    // lint:allow MJ-DET-003 lookup-only dedup buckets, never iterated
-    std::unordered_map<uint64_t, std::vector<uint64_t>> hashToIdx_;
+    checkpoint::CheckpointSet set_;
+    std::vector<uint64_t> weightNums_;
     size_t totalRefs_ = 0;
 };
 
@@ -127,7 +113,7 @@ class PackReader
      *  @p mem borrows this pack's pool pages (PhysMem::borrowPages)
      *  until its next clear(), so the pack must outlive that use.
      *  @return false on a malformed entry (pool index out of range,
-     *  unaligned or unsorted page base). */
+     *  unaligned, unsorted or out-of-DRAM page base). */
     bool restoreInto(size_t i, iss::ArchState &state,
                      mem::PhysMem &mem) const;
 
@@ -152,7 +138,8 @@ class PackReader
 
 /**
  * Pack a generator result, recovering SimPoint's exact integer weights
- * (clusterSize over intervalCount) from the fractional ones.
+ * (clusterSize over intervalCount) from the fractional ones. The pages
+ * are already pooled; this only lays the pool out.
  * @return the serialized pack; empty when @p gen holds no checkpoints.
  */
 std::vector<uint8_t> packFromGen(const checkpoint::GenResult &gen);

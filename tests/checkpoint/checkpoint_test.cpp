@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "checkpoint/generator.h"
 #include "difftest/difftest.h"
 #include "iss/system.h"
@@ -149,13 +151,12 @@ TEST(Checkpoint, ShortProgramFallsBackToWholeRunCheckpoint)
     ASSERT_EQ(gen.checkpoints.size(), 1u);
     EXPECT_DOUBLE_EQ(gen.checkpoints[0].weight, 1.0);
     EXPECT_EQ(gen.checkpoints[0].instCount, 0u);
-    ASSERT_TRUE(gen.checkpoints[0].valid());
+    ASSERT_FALSE(gen.checkpoints[0].pages.empty());
 
     // The whole-run checkpoint replays the entire execution.
     iss::System sys(32);
     nemu::Nemu nemu(sys.bus, sys.dram, 0, 0);
-    ASSERT_TRUE(
-        restore(gen.checkpoints[0], nemu.state(), sys.dram));
+    ASSERT_TRUE(restore(gen.checkpoints, 0, nemu.state(), sys.dram));
     nemu.flushUopCache();
     nemu.setHaltFn([&] { return sys.simctrl.exited(); });
     nemu.run(10'000);
@@ -173,14 +174,13 @@ TEST(Checkpoint, ResumeEquivalenceUnderDiffTest)
     auto gen = generateCheckpoints(prog, 25'000, 2, 10'000'000);
     ASSERT_GE(gen.checkpoints.size(), 1u);
     // Earliest checkpoint: leaves the most instructions to replay.
-    const Checkpoint *cp0 = &gen.checkpoints[0];
-    for (const auto &c : gen.checkpoints)
-        if (c.instCount < cp0->instCount)
-            cp0 = &c;
-    const Checkpoint &cp = *cp0;
+    size_t cp = 0;
+    for (size_t i = 0; i < gen.checkpoints.size(); ++i)
+        if (gen.checkpoints[i].instCount < gen.checkpoints[cp].instCount)
+            cp = i;
 
     xs::Soc soc(xs::CoreConfig::nh());
-    ASSERT_TRUE(restore(cp, soc.core(0).oracleState(),
+    ASSERT_TRUE(restore(gen.checkpoints, cp, soc.core(0).oracleState(),
                         soc.system().dram));
 
     difftest::DiffTest dt(soc);
@@ -188,7 +188,7 @@ TEST(Checkpoint, ResumeEquivalenceUnderDiffTest)
     // memory page by page from a scratch restore.
     iss::ArchState refState;
     mem::PhysMem scratch(0x80000000, 256ull << 20);
-    ASSERT_TRUE(restore(cp, refState, scratch));
+    ASSERT_TRUE(restore(gen.checkpoints, cp, refState, scratch));
     dt.ref(0).state() = refState;
     dt.ref(0).flushUopCache();
     scratch.forEachPage([&](Addr base, const uint8_t *data) {
@@ -219,16 +219,30 @@ TEST(Checkpoint, GeneratorProducesWeightedCheckpoints)
 
     ASSERT_GE(gen.checkpoints.size(), 1u);
     ASSERT_LE(gen.checkpoints.size(), 4u);
+    ASSERT_EQ(gen.checkpoints.size(), gen.simpoints.intervals.size());
     double wsum = 0;
-    for (const auto &cp : gen.checkpoints) {
-        EXPECT_TRUE(cp.valid());
-        EXPECT_GT(cp.weight, 0.0);
+    for (size_t i = 0; i < gen.checkpoints.size(); ++i) {
+        const auto &cp = gen.checkpoints[i];
+        EXPECT_EQ(cp.arch.size(), archHeaderBytes());
+        EXPECT_FALSE(cp.pages.empty());
+        // Checkpoint i sits at the start of its cluster's
+        // representative interval and weighs the cluster's share.
+        EXPECT_EQ(cp.instCount,
+                  uint64_t{gen.simpoints.intervals[i]} * 20'000);
+        EXPECT_LT(cp.instCount, gen.totalInsts);
+        auto members = std::count(gen.simpoints.assignment.begin(),
+                                  gen.simpoints.assignment.end(), i);
+        EXPECT_GT(members, 0);
+        EXPECT_DOUBLE_EQ(cp.weight,
+                         static_cast<double>(members) /
+                             static_cast<double>(
+                                 gen.simpoints.assignment.size()));
         wsum += cp.weight;
     }
     EXPECT_NEAR(wsum, 1.0, 1e-9);
     EXPECT_GT(gen.totalInsts, 100'000u);
-    // Pass 2 runs at fast-interpreter speed, far above profiling speed.
-    EXPECT_GT(gen.generateMips, gen.profileMips);
+    EXPECT_GT(gen.profileMips, 0.0);
+    EXPECT_GT(gen.generateMips, 0.0);
 }
 
 TEST(Checkpoint, RestoresIntoCycleModel)
@@ -240,8 +254,7 @@ TEST(Checkpoint, RestoresIntoCycleModel)
     ASSERT_GE(gen.checkpoints.size(), 1u);
 
     xs::Soc soc(xs::CoreConfig::nh());
-    ASSERT_TRUE(restore(gen.checkpoints[0],
-                        soc.core(0).oracleState(),
+    ASSERT_TRUE(restore(gen.checkpoints, 0, soc.core(0).oracleState(),
                         soc.system().dram));
     auto r = soc.runUntilInstrs(20'000, 5'000'000);
     ASSERT_TRUE(r.completed);
@@ -253,9 +266,9 @@ double
 estimateCpi(const GenResult &gen, InstCount warm, InstCount measure)
 {
     std::vector<double> cpis, weights;
-    for (const auto &cp : gen.checkpoints) {
+    for (size_t i = 0; i < gen.checkpoints.size(); ++i) {
         xs::Soc soc(xs::CoreConfig::nh());
-        EXPECT_TRUE(restore(cp, soc.core(0).oracleState(),
+        EXPECT_TRUE(restore(gen.checkpoints, i, soc.core(0).oracleState(),
                             soc.system().dram));
         soc.runUntilInstrs(warm, 5'000'000);
         Cycle warmCycles = soc.core(0).perf().cycles;
@@ -265,7 +278,7 @@ estimateCpi(const GenResult &gen, InstCount warm, InstCount measure)
             static_cast<double>(soc.core(0).perf().cycles - warmCycles) /
             static_cast<double>(soc.core(0).perf().instrs - warmInstrs);
         cpis.push_back(cpi);
-        weights.push_back(cp.weight);
+        weights.push_back(gen.checkpoints[i].weight);
     }
     return checkpoint::weightedCpi(cpis, weights);
 }

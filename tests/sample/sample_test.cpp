@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <string>
 
 #include "checkpoint/generator.h"
 #include "iss/system.h"
@@ -51,7 +52,7 @@ TEST(SampleStore, PackRoundtripMatchesCheckpointRestore)
         iss::ArchState a, b;
         mem::PhysMem memA(0x80000000, 1 << 26);
         mem::PhysMem memB(0x80000000, 1 << 26);
-        ASSERT_TRUE(cp::restore(gen.checkpoints[i], a, memA));
+        ASSERT_TRUE(cp::restore(gen.checkpoints, i, a, memA));
         ASSERT_TRUE(pack.restoreInto(i, b, memB));
 
         EXPECT_EQ(a.pc, b.pc) << "checkpoint " << i;
@@ -71,6 +72,54 @@ TEST(SampleStore, PackRoundtripMatchesCheckpointRestore)
             ASSERT_EQ(va, vb) << std::hex << addr;
         }
         EXPECT_EQ(pack.instCount(i), gen.checkpoints[i].instCount);
+    }
+}
+
+/** FNV-1a, 64-bit, over every byte. */
+uint64_t
+fnv1a(const std::vector<uint8_t> &bytes)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (uint8_t b : bytes)
+        h = (h ^ b) * 0x100000001b3ULL;
+    return h;
+}
+
+TEST(SampleStore, PackBytesMatchGoldenHashes)
+{
+    // Pinned when every checkpoint was a standalone serialized image
+    // and the pack writer re-hashed its pages: interning pages at
+    // capture time must lay out the identical file.
+    auto spec = [](const char *name) {
+        for (const auto *suite : {&wl::specIntSuite(), &wl::specFpSuite()})
+            for (const auto &s : *suite)
+                if (std::string(s.name) == name)
+                    return s;
+        ADD_FAILURE() << name;
+        return wl::ProxySpec{};
+    };
+    struct Golden
+    {
+        wl::Program prog;
+        InstCount interval;
+        unsigned maxK;
+        size_t size;
+        uint64_t hash;
+    };
+    const Golden golden[] = {
+        {wl::coremarkProxy(200), 20'000, 4, 49152, 0xa9510def1a70aafbULL},
+        {wl::buildProxy(spec("429.mcf"), 300, 1), 20'000, 4, 14643200,
+         0xd5807e7186d52b9cULL},
+        {wl::buildProxy(spec("458.sjeng"), 300, 3), 20'000, 4, 839680,
+         0x0e2c39bf98aa272bULL},
+        {wl::buildProxy(spec("403.gcc"), 300, 1), 10'000, 6, 1515520,
+         0x0b9f802125136968ULL},
+    };
+    for (const auto &g : golden) {
+        auto bytes = sample::packFromGen(cp::generateCheckpoints(
+            g.prog, g.interval, g.maxK, 10'000'000));
+        EXPECT_EQ(bytes.size(), g.size) << g.prog.name;
+        EXPECT_EQ(fnv1a(bytes), g.hash) << g.prog.name;
     }
 }
 
@@ -97,10 +146,13 @@ TEST(SampleStore, DedupsPagesAcrossCheckpoints)
 
     sample::PackWriter w(gen.simpoints.assignment.size());
     size_t rawBytes = 0;
-    for (const auto &c : gen.checkpoints) {
-        ASSERT_TRUE(w.add(c, 1));
-        rawBytes += c.bytes.size();
+    for (size_t i = 0; i < gen.checkpoints.size(); ++i) {
+        auto img = gen.checkpoints.image(i);
+        ASSERT_TRUE(w.add(img, 1));
+        rawBytes += img.bytes.size();
     }
+    // The generator's own pool holds the same distinct pages.
+    EXPECT_EQ(gen.checkpoints.pool().size(), w.poolPages());
     EXPECT_LT(w.poolPages(), w.totalPageRefs())
         << "no page was shared between checkpoints";
     EXPECT_LT(w.bytes().size(), rawBytes)
@@ -156,7 +208,8 @@ TEST(SampleStore, SerializeAfterRestoreMatchesGenerator)
         iss::ArchState st;
         mem::PhysMem m(0x80000000, 1 << 26);
         ASSERT_TRUE(pack.restoreInto(i, st, m));
-        EXPECT_EQ(cp::serialize(st, m).bytes, gen.checkpoints[i].bytes)
+        EXPECT_EQ(cp::serialize(st, m).bytes,
+                  gen.checkpoints.image(i).bytes)
             << "checkpoint " << i;
 
         // Warmup: the same 5000 NEMU instructions from the pack and
@@ -174,7 +227,7 @@ TEST(SampleStore, SerializeAfterRestoreMatchesGenerator)
             return pack.restoreInto(i, s, pm);
         });
         auto fromGen = warm([&](iss::ArchState &s, mem::PhysMem &pm) {
-            return cp::restore(gen.checkpoints[i], s, pm);
+            return cp::restore(gen.checkpoints, i, s, pm);
         });
         EXPECT_EQ(fromPack, fromGen) << "checkpoint " << i;
     }
@@ -187,7 +240,7 @@ TEST(SampleStore, RejectsUnsortedPageEntries)
     auto gen = makeGen();
     ASSERT_GE(gen.checkpoints.size(), 1u);
     sample::PackWriter w(1);
-    ASSERT_TRUE(w.add(gen.checkpoints[0], 1));
+    ASSERT_TRUE(w.add(gen.checkpoints.image(0), 1));
     auto bytes = w.bytes();
     // Header (6 u64) then table entry {instCount, weightNum, archOff,
     // pageEntryOff, nPageEntries}: swap the first two page bases.

@@ -275,23 +275,9 @@ cmdRecordNemu(const Options &opt, const wl::Program &prog,
         });
     }
 
-    // The block-boundary hook fires only on the stepping path, so
-    // trace-enabled runs step instruction by instruction; untraced
-    // runs keep the threaded-code fast path.
-    iss::RunResult r;
-    if (obs::enabled()) {
-        while (r.executed < opt.maxInstrs) {
-            if (engine.step().pending())
-                r.trapped = true;
-            ++r.executed;
-            if (sys.simctrl.exited()) {
-                r.halted = true;
-                break;
-            }
-        }
-    } else {
-        r = engine.run(opt.maxInstrs);
-    }
+    // The block hook fires on the threaded-code engine itself, so
+    // traced and untraced runs take the same fast path.
+    iss::RunResult r = engine.run(opt.maxInstrs);
 
     obs::CounterGroup root;
     if (obs::enabled()) {
