@@ -21,44 +21,6 @@ namespace {
  *  program generator draws (both start from the campaign seed). */
 constexpr uint64_t PLAN_SALT = 0x9e3779b97f4a7c15ULL;
 
-/** Run @p prog under full DiffTest co-simulation; empty sig == clean. */
-std::string
-runDiffTestOnce(const wl::Program &prog, uint64_t maxCycles,
-                const xs::ModelOpts &model, uint64_t *commits,
-                std::string *detail, PerfSummary *perf = nullptr)
-{
-    xs::CoreConfig cc = xs::CoreConfig::nh();
-    cc.model = model;
-    xs::Soc soc(cc);
-    difftest::DiffTest dt(soc);
-    prog.loadInto(soc.system().dram);
-    for (const auto &seg : prog.segments)
-        dt.loadRefMemory(seg.base, seg.bytes.data(), seg.bytes.size());
-    soc.setEntry(prog.entry);
-    dt.resetRefs(prog.entry);
-    dt.run(maxCycles);
-    if (commits)
-        *commits = dt.stats().commitsChecked;
-    if (perf) {
-        const xs::PerfCounters &p = soc.core(0).perf();
-        perf->valid = true;
-        perf->cycles = p.cycles;
-        perf->instrs = p.instrs;
-        perf->branches = p.branches;
-        perf->branchMispredicts = p.branchMispredicts;
-        perf->tdRetiring = p.tdRetiring;
-        perf->tdFrontend = p.tdFrontend;
-        perf->tdBadSpec = p.tdBadSpec;
-        perf->tdBackendMem = p.tdBackendMem;
-        perf->tdBackendCore = p.tdBackendCore;
-    }
-    if (dt.ok())
-        return "";
-    if (detail)
-        *detail = dt.failures().front();
-    return dt.divergence().signature();
-}
-
 } // namespace
 
 JobPlan
@@ -93,11 +55,77 @@ planJob(const CampaignConfig &cfg, uint64_t seed)
     return p;
 }
 
+JobRig::JobRig(const CampaignConfig &cfg) : cfg_(cfg) {}
+
+JobRig::~JobRig() = default;
+
+EngineBox &
+JobRig::box(Engine kind, unsigned copy)
+{
+    auto &slot = boxes_[static_cast<unsigned>(kind)][copy];
+    if (!slot)
+        slot = std::make_unique<EngineBox>(kind, cfg_.lockstep);
+    return *slot;
+}
+
+LockstepResult
+JobRig::lockstep(Engine a, Engine b, const wl::Program &prog)
+{
+    const BugInject *bug = cfg_.bug.enabled ? &cfg_.bug : nullptr;
+    return runLockstep(box(a, 0), box(b, a == b ? 1 : 0), prog,
+                       cfg_.maxSteps, bug);
+}
+
+std::string
+JobRig::difftest(const wl::Program &prog, uint64_t *commits,
+                 std::string *detail, PerfSummary *perf)
+{
+    if (!soc_) {
+        xs::CoreConfig cc = xs::CoreConfig::nh();
+        cc.model = cfg_.xsModel;
+        soc_ = std::make_unique<xs::Soc>(cc);
+        dt_ = std::make_unique<difftest::DiffTest>(*soc_);
+    } else {
+        soc_->reset();
+        dt_->reset();
+    }
+    xs::Soc &soc = *soc_;
+    difftest::DiffTest &dt = *dt_;
+    prog.loadInto(soc.system().dram);
+    for (const auto &seg : prog.segments)
+        dt.loadRefMemory(seg.base, seg.bytes.data(), seg.bytes.size());
+    soc.setEntry(prog.entry);
+    dt.resetRefs(prog.entry);
+    if (dutHook_)
+        dutHook_(soc);
+    dt.run(cfg_.difftestMaxCycles);
+    if (commits)
+        *commits = dt.stats().commitsChecked;
+    if (perf) {
+        const xs::PerfCounters &p = soc.core(0).perf();
+        perf->valid = true;
+        perf->cycles = p.cycles;
+        perf->instrs = p.instrs;
+        perf->branches = p.branches;
+        perf->branchMispredicts = p.branchMispredicts;
+        perf->tdRetiring = p.tdRetiring;
+        perf->tdFrontend = p.tdFrontend;
+        perf->tdBadSpec = p.tdBadSpec;
+        perf->tdBackendMem = p.tdBackendMem;
+        perf->tdBackendCore = p.tdBackendCore;
+    }
+    if (dt.ok())
+        return "";
+    if (detail)
+        *detail = dt.failures().front();
+    return dt.divergence().signature();
+}
+
 JobResult
-runJob(const CampaignConfig &cfg, uint64_t seed)
+JobRig::run(uint64_t seed)
 {
     Stopwatch sw;
-    JobPlan plan = planJob(cfg, seed);
+    JobPlan plan = planJob(cfg_, seed);
     Rng rng(seed);
     wl::ShrinkableProgram sp = wl::randomShrinkable(rng, plan.spec);
     wl::Program prog = sp.assemble();
@@ -108,18 +136,15 @@ runJob(const CampaignConfig &cfg, uint64_t seed)
         jr.kind = "difftest";
         uint64_t commits = 0;
         std::string detail;
-        jr.signature = runDiffTestOnce(prog, cfg.difftestMaxCycles,
-                                       cfg.xsModel, &commits, &detail,
-                                       cfg.perf ? &jr.perf : nullptr);
+        jr.signature = difftest(prog, &commits, &detail,
+                                cfg_.perf ? &jr.perf : nullptr);
         jr.steps = commits;
         jr.failed = !jr.signature.empty();
         jr.detail = detail;
     } else {
         jr.kind = std::string(engineName(plan.a)) + "-vs-" +
                   engineName(plan.b);
-        const BugInject *bug = cfg.bug.enabled ? &cfg.bug : nullptr;
-        LockstepResult lr = runLockstep(plan.a, plan.b, prog,
-                                        cfg.maxSteps, bug, cfg.lockstep);
+        LockstepResult lr = lockstep(plan.a, plan.b, prog);
         jr.steps = lr.steps;
         jr.failed = lr.div.diverged();
         if (jr.failed) {
@@ -129,6 +154,13 @@ runJob(const CampaignConfig &cfg, uint64_t seed)
     }
     jr.sec = sw.elapsedSec();
     return jr;
+}
+
+JobResult
+runJob(const CampaignConfig &cfg, uint64_t seed)
+{
+    JobRig rig(cfg);
+    return rig.run(seed);
 }
 
 CampaignReport
@@ -143,11 +175,12 @@ runCampaign(const CampaignConfig &cfg)
     std::atomic<uint64_t> next{0};
 
     auto workerFn = [&](unsigned wid) {
+        JobRig rig(cfg);
         for (;;) {
             uint64_t i = next.fetch_add(1, std::memory_order_relaxed);
             if (i >= cfg.seedCount)
                 break;
-            JobResult jr = runJob(cfg, cfg.seedBase + i);
+            JobResult jr = rig.run(cfg.seedBase + i);
             jr.worker = wid;
             rep.workers[wid].busySec += jr.sec;
             ++rep.workers[wid].jobs;
@@ -196,6 +229,7 @@ runCampaign(const CampaignConfig &cfg)
     // ---- shrink one representative per bucket (deterministic:
     // single-threaded, bucket order is first-failing-seed order) ----
     if (cfg.shrinkFailures) {
+        JobRig rig(cfg);
         for (auto &b : rep.buckets) {
             JobPlan plan = planJob(cfg, b.repSeed);
             Rng rng(b.repSeed);
@@ -204,20 +238,13 @@ runCampaign(const CampaignConfig &cfg)
 
             SignatureFn sig;
             if (plan.difftest) {
-                uint64_t cycles = cfg.difftestMaxCycles;
-                xs::ModelOpts model = cfg.xsModel;
-                sig = [cycles, model](const wl::Program &p) {
-                    return runDiffTestOnce(p, cycles, model, nullptr,
-                                           nullptr);
+                sig = [&rig](const wl::Program &p) {
+                    return rig.difftest(p);
                 };
             } else {
-                const CampaignConfig *c = &cfg;
                 Engine ea = plan.a, eb = plan.b;
-                sig = [c, ea, eb](const wl::Program &p) {
-                    const BugInject *bug =
-                        c->bug.enabled ? &c->bug : nullptr;
-                    LockstepResult lr = runLockstep(
-                        ea, eb, p, c->maxSteps, bug, c->lockstep);
+                sig = [&rig, ea, eb](const wl::Program &p) {
+                    LockstepResult lr = rig.lockstep(ea, eb, p);
                     return lr.div.diverged() ? lr.div.signature()
                                              : std::string();
                 };

@@ -18,6 +18,8 @@
 #ifndef MINJIE_CAMPAIGN_CAMPAIGN_H
 #define MINJIE_CAMPAIGN_CAMPAIGN_H
 
+#include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,6 +28,14 @@
 #include "obs/counter.h"
 #include "workload/shrinkable.h"
 #include "xiangshan/config.h"
+
+namespace minjie::xs {
+class Soc;
+} // namespace minjie::xs
+
+namespace minjie::difftest {
+class DiffTest;
+} // namespace minjie::difftest
 
 namespace minjie::campaign {
 
@@ -147,10 +157,62 @@ struct CampaignReport
 /** Derive the job for @p seed (pure function of config + seed). */
 JobPlan planJob(const CampaignConfig &cfg, uint64_t seed);
 
-/** Run a single job (used by workers, shrinking and tests). */
+/**
+ * The engines, DUT and checker one campaign worker runs its jobs on.
+ * Each part is built on first use, at most one engine box per engine
+ * kind (a second one for a same-kind pair) and one SoC + DiffTest,
+ * and every job resets the parts it uses instead of constructing
+ * them. A job's result never depends on what the rig ran before: it
+ * equals runJob() on a fresh rig.
+ */
+class JobRig
+{
+  public:
+    explicit JobRig(const CampaignConfig &cfg);
+    ~JobRig();
+    JobRig(const JobRig &) = delete;
+    JobRig &operator=(const JobRig &) = delete;
+
+    /** Run the job of @p seed. */
+    JobResult run(uint64_t seed);
+
+    /** Lockstep @p prog on engines @p a and @p b (the config's bug
+     *  injection and NEMU options apply). */
+    LockstepResult lockstep(Engine a, Engine b,
+                            const workload::Program &prog);
+
+    /**
+     * Co-simulate @p prog under DiffTest.
+     * @return the divergence signature; empty when clean
+     */
+    std::string difftest(const workload::Program &prog,
+                         uint64_t *commits = nullptr,
+                         std::string *detail = nullptr,
+                         PerfSummary *perf = nullptr);
+
+    /** Called with the DUT once it is reset and loaded, before each
+     *  DiffTest run (fault-injection tests hook in here). */
+    void setDutHook(std::function<void(xs::Soc &)> hook)
+    {
+        dutHook_ = std::move(hook);
+    }
+
+  private:
+    EngineBox &box(Engine kind, unsigned copy);
+
+    CampaignConfig cfg_;
+    std::unique_ptr<EngineBox> boxes_[4][2]; ///< [Engine][copy]
+    std::unique_ptr<xs::Soc> soc_;
+    std::unique_ptr<difftest::DiffTest> dt_;
+    std::function<void(xs::Soc &)> dutHook_;
+};
+
+/** Run a single job on a rig of its own (one-shot callers; workers
+ *  and the shrinker keep a JobRig). */
 JobResult runJob(const CampaignConfig &cfg, uint64_t seed);
 
-/** Run the whole campaign with cfg.workers threads. */
+/** Run the whole campaign with cfg.workers threads, each on its own
+ *  JobRig. */
 CampaignReport runCampaign(const CampaignConfig &cfg);
 
 } // namespace minjie::campaign

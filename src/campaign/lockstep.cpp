@@ -1,5 +1,6 @@
 #include "campaign/lockstep.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -42,45 +43,41 @@ parseEngine(const std::string &name, Engine &out)
     return true;
 }
 
-namespace {
-
-/** One engine with its private system (DRAM, bus, devices). */
-struct EngineBox
+EngineBox::EngineBox(Engine kind, const LockstepOptions &opts)
+    : sys_(std::make_unique<System>(32))
 {
-    System sys{32};
-    std::unique_ptr<Interp> interp;
-};
-
-std::unique_ptr<EngineBox>
-makeEngine(Engine kind, const workload::Program &prog,
-           const LockstepOptions &opts)
-{
-    auto box = std::make_unique<EngineBox>();
-    prog.loadInto(box->sys.dram);
     switch (kind) {
       case Engine::Spike:
-        box->interp =
-            std::make_unique<SpikeInterp>(box->sys.bus, 0, prog.entry);
+        interp_ = std::make_unique<SpikeInterp>(sys_->bus, 0, DRAM_BASE);
         break;
       case Engine::Dromajo:
-        box->interp =
-            std::make_unique<DromajoInterp>(box->sys.bus, 0, prog.entry);
+        interp_ = std::make_unique<DromajoInterp>(sys_->bus, 0, DRAM_BASE);
         break;
       case Engine::Tci:
-        box->interp =
-            std::make_unique<TciInterp>(box->sys.bus, 0, prog.entry);
+        interp_ = std::make_unique<TciInterp>(sys_->bus, 0, DRAM_BASE);
         break;
       case Engine::Nemu: {
-        auto n = std::make_unique<nemu::Nemu>(
-            box->sys.bus, box->sys.dram, 0, prog.entry);
+        auto n = std::make_unique<nemu::Nemu>(sys_->bus, sys_->dram, 0,
+                                              DRAM_BASE);
         n->setChainingEnabled(opts.nemuChain);
         n->setFastPathEnabled(opts.nemuFastPath);
-        box->interp = std::move(n);
+        interp_ = std::move(n);
         break;
       }
     }
-    return box;
 }
+
+EngineBox::~EngineBox() = default;
+
+void
+EngineBox::load(const workload::Program &prog)
+{
+    sys_->reset();
+    prog.loadInto(sys_->dram);
+    interp_->reset(prog.entry);
+}
+
+namespace {
 
 /** Post-step corruption of the injected side's destination register. */
 void
@@ -97,24 +94,35 @@ applyBug(const BugInject &bug, ArchState &st, const isa::DecodedInst &di)
     st.setX(di.rd, st.x[di.rd] ^ bug.xorMask);
 }
 
-/** Compare every loaded segment's memory image across the two systems. */
+/** Compare every loaded segment's memory image across the two
+ *  systems, one page span at a time; records the first differing
+ *  byte. */
 bool
 compareMemory(EngineBox &a, EngineBox &b, const workload::Program &prog,
               Divergence &div)
 {
+    mem::PhysMem &ma = a.system().dram;
+    mem::PhysMem &mb = b.system().dram;
     for (const auto &seg : prog.segments) {
-        for (size_t i = 0; i < seg.bytes.size(); ++i) {
-            uint64_t va = 0, vb = 0;
-            a.sys.dram.read(seg.base + i, 1, va);
-            b.sys.dram.read(seg.base + i, 1, vb);
-            if (va != vb) {
+        for (size_t i = 0; i < seg.bytes.size();) {
+            Addr addr = seg.base + i;
+            size_t n = std::min<size_t>(
+                seg.bytes.size() - i,
+                mem::PhysMem::PAGE_SIZE - (addr & mem::PhysMem::PAGE_MASK));
+            const uint8_t *pa = ma.pagePtr(addr);
+            const uint8_t *pb = mb.pagePtr(addr);
+            if (std::memcmp(pa, pb, n) != 0) {
+                size_t k = 0;
+                while (pa[k] == pb[k])
+                    ++k;
                 div.kind = Divergence::Kind::Memory;
-                div.reg = static_cast<unsigned>(i);
-                div.pc = seg.base + i; // diverging address, not a pc
-                div.valA = va;
-                div.valB = vb;
+                div.reg = static_cast<unsigned>(i + k);
+                div.pc = addr + k; // diverging address, not a pc
+                div.valA = pa[k];
+                div.valB = pb[k];
                 return false;
             }
+            i += n;
         }
     }
     return true;
@@ -164,43 +172,61 @@ runLockstep(Engine a, Engine b, const workload::Program &prog,
             uint64_t maxSteps, const BugInject *bug,
             const LockstepOptions &opts)
 {
-    auto ea = makeEngine(a, prog, opts);
-    auto eb = makeEngine(b, prog, opts);
+    EngineBox ea(a, opts);
+    EngineBox eb(b, opts);
+    return runLockstep(ea, eb, prog, maxSteps, bug);
+}
+
+LockstepResult
+runLockstep(EngineBox &ea, EngineBox &eb, const workload::Program &prog,
+            uint64_t maxSteps, const BugInject *bug)
+{
+    ea.load(prog);
+    eb.load(prog);
+    Interp &ia = ea.interp();
+    Interp &ib = eb.interp();
+    ArchState &sa = ia.state();
+    ArchState &sb = ib.state();
     LockstepResult res;
+    Divergence &d = res.div;
+    const bool injecting = bug && bug->enabled;
+
+    // The raw word at the last stepped pc; decoded only when a record
+    // needs its op (injection, a divergence, the final report).
+    uint64_t raw = 0;
+    auto stampOp = [&] { d.op = isa::decode(static_cast<uint32_t>(raw)).op; };
 
     for (uint64_t step = 0; step < maxSteps; ++step) {
-        if (ea->sys.simctrl.exited() && eb->sys.simctrl.exited()) {
+        if (ea.system().simctrl.exited() && eb.system().simctrl.exited()) {
             res.exited = true;
-            res.div.step = step;
-            compareMemory(*ea, *eb, prog, res.div);
+            d.step = step;
+            if (res.steps)
+                stampOp();
+            compareMemory(ea, eb, prog, d);
             return res;
         }
 
-        ArchState &sa = ea->interp->state();
-        ArchState &sb = eb->interp->state();
         Addr pc = sa.pc;
-        uint64_t raw = 0;
-        ea->sys.dram.read(pc, 4, raw);
-        isa::DecodedInst di = isa::decode(static_cast<uint32_t>(raw));
+        raw = 0;
+        ea.system().dram.read(pc, 4, raw);
 
         // run(1) is virtual: NEMU executes through its chained
         // threaded-code engine, the baseline engines through step().
-        iss::RunResult ra = ea->interp->run(1);
-        iss::RunResult rb = eb->interp->run(1);
+        iss::RunResult ra = ia.run(1);
+        iss::RunResult rb = ib.run(1);
         ++res.steps;
 
-        if (bug && bug->enabled &&
-            !(bug->side == 0 ? ra : rb).trapped)
-            applyBug(*bug, bug->side == 0 ? sa : sb, di);
+        if (injecting && !(bug->side == 0 ? ra : rb).trapped)
+            applyBug(*bug, bug->side == 0 ? sa : sb,
+                     isa::decode(static_cast<uint32_t>(raw)));
 
-        Divergence &d = res.div;
         d.step = step;
         d.pc = pc;
-        d.op = di.op;
         if (sa.pc != sb.pc) {
             d.kind = Divergence::Kind::Pc;
             d.valA = sa.pc;
             d.valB = sb.pc;
+            stampOp();
             return res;
         }
         if (std::memcmp(sa.x, sb.x, sizeof(sa.x)) != 0) {
@@ -213,6 +239,7 @@ runLockstep(Engine a, Engine b, const workload::Program &prog,
                     break;
                 }
             }
+            stampOp();
             return res;
         }
         if (std::memcmp(sa.f, sb.f, sizeof(sa.f)) != 0) {
@@ -225,18 +252,22 @@ runLockstep(Engine a, Engine b, const workload::Program &prog,
                     break;
                 }
             }
+            stampOp();
             return res;
         }
         if (sa.csr.fflags != sb.csr.fflags) {
             d.kind = Divergence::Kind::Fflags;
             d.valA = sa.csr.fflags;
             d.valB = sb.csr.fflags;
+            stampOp();
             return res;
         }
     }
 
-    res.div.kind = Divergence::Kind::Timeout;
-    res.div.step = res.steps;
+    d.kind = Divergence::Kind::Timeout;
+    d.step = res.steps;
+    if (res.steps)
+        stampOp();
     return res;
 }
 

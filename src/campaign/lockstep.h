@@ -13,10 +13,16 @@
 #ifndef MINJIE_CAMPAIGN_LOCKSTEP_H
 #define MINJIE_CAMPAIGN_LOCKSTEP_H
 
+#include <memory>
 #include <string>
 
 #include "isa/op.h"
 #include "workload/programs.h"
+
+namespace minjie::iss {
+class Interp;
+struct System;
+} // namespace minjie::iss
 
 namespace minjie::campaign {
 
@@ -92,6 +98,31 @@ struct LockstepOptions
 };
 
 /**
+ * One engine with its private functional system (DRAM, bus, devices).
+ * A box outlives the programs it runs: load() returns it to the state
+ * of a freshly built box, so a campaign worker builds each kind once.
+ */
+class EngineBox
+{
+  public:
+    explicit EngineBox(Engine kind, const LockstepOptions &opts = {});
+    ~EngineBox();
+    EngineBox(const EngineBox &) = delete;
+    EngineBox &operator=(const EngineBox &) = delete;
+
+    /** Clear memory and devices, load @p prog and reset the engine
+     *  to its entry. */
+    void load(const workload::Program &prog);
+
+    iss::System &system() { return *sys_; }
+    iss::Interp &interp() { return *interp_; }
+
+  private:
+    std::unique_ptr<iss::System> sys_;
+    std::unique_ptr<iss::Interp> interp_;
+};
+
+/**
  * Run @p prog on engines @p a and @p b in lockstep for at most
  * @p maxSteps instructions, comparing pc, integer/fp registers and
  * fflags after every instruction and the data sandbox at exit.
@@ -104,6 +135,12 @@ LockstepResult runLockstep(Engine a, Engine b, const workload::Program &prog,
                            uint64_t maxSteps,
                            const BugInject *bug = nullptr,
                            const LockstepOptions &opts = {});
+
+/** The same run on two existing boxes, which load() @p prog first. */
+LockstepResult runLockstep(EngineBox &a, EngineBox &b,
+                           const workload::Program &prog,
+                           uint64_t maxSteps,
+                           const BugInject *bug = nullptr);
 
 } // namespace minjie::campaign
 

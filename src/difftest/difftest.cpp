@@ -56,6 +56,23 @@ DiffTest::resetRefs(Addr entry)
 }
 
 void
+DiffTest::reset()
+{
+    for (unsigned c = 0; c < refs_.size(); ++c) {
+        refSys_[c]->reset();
+        refs_[c]->reset(iss::DRAM_BASE);
+    }
+    globalMem_.reset();
+    scoreboard_.reset();
+    stats_ = {};
+    div_ = {};
+    failures_.clear();
+    divWindow_.clear();
+    forcedAtPc_.clear();
+    traceHead_ = traceCount_ = 0;
+}
+
+void
 DiffTest::fail(HartId hart, const std::string &why)
 {
     char buf[64];

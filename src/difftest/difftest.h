@@ -113,6 +113,14 @@ class DiffTest
     /** Reset every REF to @p entry (mirror of Soc::setEntry). */
     void resetRefs(Addr entry);
 
+    /**
+     * Forget the previous run, for reuse with the DUT after
+     * Soc::reset(): REF memories, REFs, Global Memory, scoreboard,
+     * statistics, failures and the divergence record return to their
+     * constructed state. Rules, hooks and the tracer stay.
+     */
+    void reset();
+
     /** True while no mismatch has been detected. */
     bool ok() const { return failures_.empty(); }
 

@@ -76,6 +76,16 @@ class GlobalMemory
 
     uint64_t storesRecorded() const { return stores_; }
 
+    /** Forget every recorded store. */
+    void
+    reset()
+    {
+        mem_.clear();
+        known_.clear();
+        history_.clear();
+        stores_ = 0;
+    }
+
   private:
     // Bounded by the maximum stores in flight across all cores (ROB +
     // fetch buffers); 2048 covers two 256-entry windows of pure stores.

@@ -32,6 +32,15 @@ class PermissionScoreboard
     }
     uint64_t transactionsChecked() const { return checked_; }
 
+    /** Forget every permission, violation and count. */
+    void
+    reset()
+    {
+        perms_.clear();
+        violations_.clear();
+        checked_ = 0;
+    }
+
   private:
     /** Permission of cache @p name on @p line as last granted. */
     Perm permOf(Addr line, const char *name) const;

@@ -55,6 +55,7 @@ CsrFile::reset(uint64_t hartid)
     mcycle = minstret = 0;
     mhartid = hartid;
     satp = 0;
+    pmpcfg0 = pmpaddr0 = 0;
     fflags = 0;
     frm = 0;
 }

@@ -8,29 +8,41 @@ Trap
 SpikeInterp::stepOnce(ExecInfo *info)
 {
     Addr pc = st_.pc;
-    Entry &e = cache_[(pc >> 1) & mask_];
+    auto idx = static_cast<uint32_t>((pc >> 1) & mask_);
+    Entry &e = cache_[idx];
     if (e.pc != pc) {
         ++misses_;
         uint32_t raw;
         Trap t = mmu_.fetch(pc, raw);
         if (t.pending())
             return t;
+        if (e.pc == ~0ULL)
+            filled_.push_back(idx);
         e.pc = pc;
         e.di = decode(raw);
     } else {
         ++hits_;
     }
     Trap t = execInst(st_, mmu_, e.di, fpb_, info);
-    if (t.pending() && t.cause == Exc::IllegalInst) {
-        // fence.i / sfence may invalidate cached decodes elsewhere; the
-        // decode cache is PC-tagged so self-modifying code still needs
-        // an explicit flush, which fence.i execution performs below.
-    }
-    if (e.di.op == Op::FenceI) {
-        for (auto &entry : cache_)
-            entry.pc = ~0ULL;
-    }
+    if (e.di.op == Op::FenceI)
+        flushCache();
     return t;
+}
+
+void
+SpikeInterp::flushCache()
+{
+    for (uint32_t idx : filled_)
+        cache_[idx].pc = ~0ULL;
+    filled_.clear();
+}
+
+void
+SpikeInterp::reset(Addr entry)
+{
+    Interp::reset(entry);
+    flushCache();
+    hits_ = misses_ = 0;
 }
 
 Trap
@@ -44,107 +56,123 @@ DromajoInterp::stepOnce(ExecInfo *info)
     return execInst(st_, mmu_, di, fpb_, info);
 }
 
-TciInterp::Block *
+void
+TciInterp::flushCode()
+{
+    for (uint32_t idx : filled_)
+        slots_[idx] = Slot{};
+    filled_.clear();
+    code_.clear();
+    insts_.clear();
+    cur_ = blockFirst_ = blockEnd_ = 0;
+    curPc_ = ~0ULL;
+}
+
+void
+TciInterp::reset(Addr entry)
+{
+    Interp::reset(entry);
+    flushCode();
+    translated_ = 0;
+}
+
+const TciInterp::Slot *
 TciInterp::lookupBlock(Addr pc, Trap &trap)
 {
-    Block &b = blocks_[(pc >> 1) % BLOCK_CACHE];
-    if (b.pc == pc)
-        return &b;
+    auto idx = static_cast<uint32_t>((pc >> 1) % BLOCK_CACHE);
+    Slot &s = slots_[idx];
+    if (s.pc == pc)
+        return &s;
+
+    // A full buffer is flushed whole, as TCG flushes its code buffer.
+    if (insts_.size() + MAX_BLOCK > CODE_CAP)
+        flushCode();
 
     // Translate a basic block: decode until a control transfer or
     // system instruction, lowering each guest instruction to bytecode.
-    b.pc = pc;
-    b.code.clear();
-    b.insts.clear();
+    auto first = static_cast<uint32_t>(insts_.size());
     Addr cur = pc;
-    for (unsigned n = 0; n < 64; ++n) {
+    for (unsigned n = 0; n < MAX_BLOCK; ++n) {
         uint32_t raw;
         Trap t = mmu_.fetch(cur, raw);
         if (t.pending()) {
-            if (b.insts.empty()) {
-                b.pc = ~0ULL;
+            if (n == 0) {
                 trap = t;
                 return nullptr;
             }
-            break;
+            break; // the tail re-faults when execution reaches it
         }
         DecodedInst di = decode(raw);
-        auto idx = static_cast<uint8_t>(b.insts.size());
-        b.insts.push_back(di);
-        b.code.push_back(static_cast<uint8_t>(Bc::LdOperands));
-        b.code.push_back(di.rs1);
-        b.code.push_back(di.rs2);
-        b.code.push_back(static_cast<uint8_t>(Bc::Exec));
-        b.code.push_back(idx);
-        b.code.push_back(static_cast<uint8_t>(Bc::WriteBack));
-        b.code.push_back(di.rd);
-        b.code.push_back(static_cast<uint8_t>(Bc::AdvancePc));
-        b.code.push_back(di.size);
+        insts_.push_back(di);
+        const uint8_t rec[BC_BYTES] = {
+            static_cast<uint8_t>(Bc::LdOperands), di.rs1, di.rs2,
+            static_cast<uint8_t>(Bc::Exec), static_cast<uint8_t>(n),
+            static_cast<uint8_t>(Bc::WriteBack), di.rd,
+            static_cast<uint8_t>(Bc::AdvancePc), di.size,
+        };
+        code_.insert(code_.end(), rec, rec + BC_BYTES);
         cur += di.size;
         if (isControl(di.op) || isSystem(di.op) || isFence(di.op) ||
             di.op == Op::Illegal)
             break;
     }
-    return &b;
+    ++translated_;
+    if (s.pc == ~0ULL)
+        filled_.push_back(idx);
+    s.pc = pc;
+    s.first = first;
+    s.count = static_cast<uint32_t>(insts_.size()) - first;
+    return &s;
 }
 
 Trap
 TciInterp::stepOnce(ExecInfo *info)
 {
-    Trap trap = Trap::none();
-    Block *b = lookupBlock(st_.pc, trap);
-    if (!b)
-        return trap;
-
-    // Interpret the bytecode for exactly one guest instruction: find the
-    // record for the current pc within the block.
-    Addr off = st_.pc - b->pc;
-    size_t idx = 0;
-    Addr scan = 0;
-    while (idx < b->insts.size() && scan < off)
-        scan += b->insts[idx++].size;
-    if (idx >= b->insts.size() || scan != off) {
-        // Entry into the middle of a stale block: retranslate.
-        b->pc = ~0ULL;
-        b = lookupBlock(st_.pc, trap);
-        if (!b)
+    Addr pc = st_.pc;
+    if (pc != curPc_ || cur_ == blockEnd_) {
+        Trap trap = Trap::none();
+        const Slot *b = lookupBlock(pc, trap);
+        if (!b) {
+            curPc_ = ~0ULL;
             return trap;
-        idx = 0;
+        }
+        blockFirst_ = cur_ = b->first;
+        blockEnd_ = b->first + b->count;
     }
 
     // Walk this instruction's 4 bytecode records through the nested
     // dispatcher (the TCI-style overhead being modeled).
-    size_t cp = idx * 9; // each guest inst lowers to 9 bytecode bytes
-    const DecodedInst &di = b->insts[idx];
+    const uint8_t *bc = code_.data() + size_t{cur_} * BC_BYTES;
+    // The next step continues in this block when it runs at the
+    // fallthrough pc; a taken branch or trap moves the pc elsewhere.
+    const DecodedInst &di = insts_[cur_];
+    const bool fenceI = di.op == Op::FenceI;
+    curPc_ = pc + di.size;
+    ++cur_;
     Trap t = Trap::none();
-    for (int rec = 0; rec < 4 && cp < b->code.size();) {
-        auto bc = static_cast<Bc>(b->code[cp]);
-        switch (bc) {
+    for (unsigned cp = 0; cp < BC_BYTES && !t.pending();) {
+        switch (static_cast<Bc>(bc[cp])) {
           case Bc::LdOperands:
-            tmp_[0] = st_.x[b->code[cp + 1]];
-            tmp_[1] = st_.x[b->code[cp + 2]];
+            tmp_[0] = st_.x[bc[cp + 1]];
+            tmp_[1] = st_.x[bc[cp + 2]];
             cp += 3;
             break;
           case Bc::Exec:
-            t = execInst(st_, mmu_, b->insts[b->code[cp + 1]], fpb_, info);
+            t = execInst(st_, mmu_, insts_[blockFirst_ + bc[cp + 1]],
+                         fpb_, info);
             cp += 2;
             break;
           case Bc::WriteBack:
-            tmp_[2] = st_.x[b->code[cp + 1]];
+            tmp_[2] = st_.x[bc[cp + 1]];
             cp += 2;
             break;
           case Bc::AdvancePc:
             cp += 2;
             break;
         }
-        ++rec;
-        if (t.pending())
-            return t;
     }
-    if (di.op == Op::FenceI) {
-        for (auto &blk : blocks_)
-            blk.pc = ~0ULL;
-    }
+    if (fenceI)
+        flushCode();
     return t;
 }
 

@@ -11,9 +11,9 @@
  *                    the paper) + switch execution + soft-float;
  *  - DromajoInterp — fetch + full decode on every instruction, no cache,
  *                    soft-float;
- *  - TciInterp     — guest instructions pre-translated into a multi-uop
- *                    bytecode stream interpreted op-by-op (the QEMU-TCI
- *                    execution model), soft-float.
+ *  - TciInterp     — guest basic blocks translated once into a flat
+ *                    multi-uop bytecode buffer that is interpreted
+ *                    op-by-op (the QEMU-TCI execution model), soft-float.
  *
  * The fast NEMU engine lives in src/nemu/.
  */
@@ -47,11 +47,25 @@ class Interp
   public:
     Interp(mem::MemPort &mem, HartId hart, Addr entry,
            fp::FpBackend fpb)
-        : mem_(mem), mmu_(st_, mem), fpb_(fpb)
+        : mem_(mem), mmu_(st_, mem), fpb_(fpb), hart_(hart)
     {
         st_.reset(entry, hart);
     }
     virtual ~Interp() = default;
+
+    /**
+     * Return to the state of a freshly constructed engine at @p entry
+     * over the same memory: architectural state, MMU and every cached
+     * translation. Engines reused across programs (campaign workers)
+     * call this instead of reconstructing; the halt predicate stays.
+     */
+    virtual void
+    reset(Addr entry)
+    {
+        st_ = ArchState{};
+        st_.reset(entry, hart_);
+        mmu_.reset();
+    }
 
     ArchState &state() { return st_; }
     const ArchState &state() const { return st_; }
@@ -114,6 +128,7 @@ class Interp
     mem::MemPort &mem_;
     Mmu mmu_;
     fp::FpBackend fpb_;
+    HartId hart_;
     std::function<bool()> haltFn_;
 };
 
@@ -131,6 +146,8 @@ class SpikeInterp : public Interp
     uint64_t decodeCacheHits() const { return hits_; }
     uint64_t decodeCacheMisses() const { return misses_; }
 
+    void reset(Addr entry) override;
+
   protected:
     isa::Trap stepOnce(ExecInfo *info) override;
 
@@ -140,8 +157,15 @@ class SpikeInterp : public Interp
         Addr pc = ~0ULL;
         isa::DecodedInst di;
     };
+
+    /** Invalidate every filled entry (fence.i, reset). */
+    void flushCache();
+
     uint64_t mask_;
     std::vector<Entry> cache_;
+    /** Indices of the valid entries, so a flush touches only those
+     *  instead of sweeping the whole table. */
+    std::vector<uint32_t> filled_;
     uint64_t hits_ = 0, misses_ = 0;
 };
 
@@ -159,9 +183,19 @@ class DromajoInterp : public Interp
 };
 
 /**
- * QEMU-TCI proxy: each guest instruction is translated (per basic
- * block) into several bytecode micro-ops that a nested dispatcher
+ * QEMU-TCI proxy: each guest basic block is translated once into
+ * bytecode — every guest instruction lowers to four records
+ * (LD_OPERANDS, EXEC, WRITE_BACK, ADVANCE_PC) that a nested dispatcher
  * interprets one by one, reading operands from the byte stream.
+ *
+ * Like TCG's code buffer, translations append to one flat per-engine
+ * buffer (bytecode plus decoded instructions); a direct-mapped table
+ * maps a block's start pc to its span, and the whole buffer is
+ * flushed when it fills, on fence.i and on reset(), so memory stays
+ * bounded however long the engine lives. Execution keeps a cursor into
+ * the current block and looks a block up only when the pc leaves it
+ * (a taken branch, a trap, an interrupt, the block's end); entering
+ * the middle of a translated block translates a new block from there.
  */
 class TciInterp : public Interp
 {
@@ -171,6 +205,11 @@ class TciInterp : public Interp
     {
     }
 
+    /** Blocks translated since construction or the last reset(). */
+    uint64_t blocksTranslated() const { return translated_; }
+
+    void reset(Addr entry) override;
+
   protected:
     isa::Trap stepOnce(ExecInfo *info) override;
 
@@ -179,18 +218,38 @@ class TciInterp : public Interp
     // EXEC, WRITE_BACK, ADVANCE_PC records, mirroring how TCG lowers
     // one guest op into several TCG ops.
     enum class Bc : uint8_t { LdOperands, Exec, WriteBack, AdvancePc };
+    static constexpr unsigned BC_BYTES = 9; ///< bytecode per guest inst
 
-    struct Block
+    /** Lookup-table slot: a translated block's span in the buffer. */
+    struct Slot
     {
         Addr pc = ~0ULL;
-        std::vector<uint8_t> code;
-        std::vector<isa::DecodedInst> insts;
+        uint32_t first = 0; ///< index of its first instruction
+        uint32_t count = 0; ///< guest instructions in the block
     };
 
-    static constexpr unsigned BLOCK_CACHE = 4096;
-    Block *lookupBlock(Addr pc, isa::Trap &trap);
+    static constexpr unsigned BLOCK_CACHE = 4096; ///< lookup slots
+    static constexpr unsigned MAX_BLOCK = 64;     ///< insts per block
+    static constexpr uint32_t CODE_CAP = 16384;   ///< buffer, in insts
 
-    std::vector<Block> blocks_ = std::vector<Block>(BLOCK_CACHE);
+    /** The block starting at @p pc, translating it on a miss; null
+     *  (with @p trap set) when its first instruction cannot be
+     *  fetched. */
+    const Slot *lookupBlock(Addr pc, isa::Trap &trap);
+
+    /** Drop every translation and the cursor. */
+    void flushCode();
+
+    std::vector<Slot> slots_ = std::vector<Slot>(BLOCK_CACHE);
+    /** Indices of the filled slots, so a flush touches only those. */
+    std::vector<uint32_t> filled_;
+    std::vector<uint8_t> code_;            ///< BC_BYTES per inst
+    std::vector<isa::DecodedInst> insts_;  ///< parallel to code_
+    // Cursor: next instruction of the current block and the pc it
+    // executes at; any other pc goes through lookupBlock().
+    uint32_t cur_ = 0, blockFirst_ = 0, blockEnd_ = 0;
+    Addr curPc_ = ~0ULL;
+    uint64_t translated_ = 0;
     // Scratch "TCG registers" the bytecode moves operands through.
     uint64_t tmp_[4] = {};
 };

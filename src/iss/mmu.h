@@ -59,6 +59,15 @@ class Mmu
     /** sfence.vma: drop all cached translations. */
     void flushTlb();
 
+    /** Power-on state: empty TLB, zeroed statistics. */
+    void
+    reset()
+    {
+        flushTlb();
+        stats_ = {};
+        lastPaddr_ = 0;
+    }
+
     /**
      * Shootdown hook invoked whenever the functional TLB is flushed
      * (sfence.vma, satp change). Fast interpreters caching derived

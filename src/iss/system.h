@@ -24,6 +24,16 @@ struct System
         bus.addDevice(&simctrl);
     }
 
+    /** Empty DRAM and power-on devices, as freshly constructed. */
+    void
+    reset()
+    {
+        dram.clear();
+        uart.clearOutput();
+        clint.reset();
+        simctrl.reset();
+    }
+
     mem::PhysMem dram;
     mem::Bus bus;
     mem::Uart uart;

@@ -77,6 +77,14 @@ class Clint : public Device
 
     explicit Clint(Addr base = DEFAULT_BASE) : Device(base, 0x10000)
     {
+        reset();
+    }
+
+    /** Power-on state: mtime 0, no timer armed, no software irq. */
+    void
+    reset()
+    {
+        mtime_ = 0;
         for (auto &v : mtimecmp_)
             v = ~0ULL;
         for (auto &v : msip_)

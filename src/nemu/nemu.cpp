@@ -190,6 +190,17 @@ Nemu::Nemu(mem::MemPort &bus, mem::PhysMem &dram, HartId hart, Addr entry,
 }
 
 void
+Nemu::reset(Addr entry)
+{
+    Interp::reset(entry);
+    flushUopCache();
+    sink_ = 0;
+    blockStart_ = ~0ULL;
+    blockLen_ = 0;
+    stats_ = {};
+}
+
+void
 Nemu::flushUopCache()
 {
     uops_.clear();
@@ -448,6 +459,19 @@ struct NemuExec
         } \
     } while (0)
 
+// A control edge's target cannot be fetched (st.pc already names it).
+// The faulting fetch is a step of its own, as in Interp::step; with the
+// budget spent it is left to the next run(), so run(1) stepping takes
+// the trap on the same step Interp::run does.
+#define FETCH_FAULT() \
+    do { \
+        if (budget == 0) { \
+            trap = Trap::none(); \
+            goto block_boundary; \
+        } \
+        goto take_fetch_trap; \
+    } while (0)
+
 // Resolve a control-transfer edge with block chaining. @p field caches
 // the resolved uop index unless the cache was flushed during translate.
 // With chaining ablated, every control transfer leaves the threaded
@@ -465,7 +489,7 @@ struct NemuExec
             t = n.lookupOrTranslate((targetPc), trap); \
             if (t < 0) { \
                 st.pc = (targetPc); \
-                goto take_fetch_trap; \
+                FETCH_FAULT(); \
             } \
             if (n.stats_.flushes == fl) \
                 cu->field = t; \
@@ -493,7 +517,7 @@ struct NemuExec
         int32_t t = n.lookupOrTranslate(tp, trap); \
         if (t < 0) { \
             st.pc = tp; \
-            goto take_fetch_trap; \
+            FETCH_FAULT(); \
         } \
         if (n.stats_.flushes == fl) { \
             cu->indirPc = tp; \
@@ -819,26 +843,30 @@ struct NemuExec
           }
 
           take_fetch_trap: {
-            // Instruction fetch fault: the target instruction was never
-            // dispatched; only previously completed uops are counted.
+            // Instruction fetch fault at st.pc: the completed uops
+            // count, and so does the faulting fetch, as one step (as in
+            // Interp::step). Every jump here leaves budget for it.
             InstCount done = chunk - budget;
             st.instret += done;
             st.csr.minstret += done;
             st.csr.mcycle += done;
-            result.executed += done;
+            result.executed += done + 1;
             takeTrap(st, trap, st.pc);
-            // The faulting fetch is no instruction of the block; an
-            // empty block now starts at the handler.
-            if (prof && st.instret == blockPos)
-                n.blockStart_ = st.pc;
+            ++st.instret;
+            ++st.csr.minstret;
+            ++st.csr.mcycle;
+            if (prof) {
+                // The faulting fetch is no instruction of the block
+                // (the step path never reports it); an empty block now
+                // starts at the handler.
+                ++blockPos;
+                if (st.instret == blockPos)
+                    n.blockStart_ = st.pc;
+            }
             trap = Trap::none();
             result.trapped = true;
             fastmem = fastOn && n.fastMemOk();
             n.flushUopCache();
-            // Guarantee forward progress when the trap handler itself
-            // cannot be fetched (e.g. mtvec at unmapped memory).
-            if (done == 0)
-                ++result.executed;
             chunk = budget = 0;
             goto chunk_boundary;
           }
@@ -893,6 +921,7 @@ struct NemuExec
 #undef NEXT
 #undef END_BLOCK
 #undef EDGE
+#undef FETCH_FAULT
 #undef CHAIN
 #undef CHAIN_INDIRECT
 #undef LOAD

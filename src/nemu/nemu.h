@@ -74,6 +74,11 @@ class Nemu : public iss::Interp
     /** Fast threaded-code execution of up to @p maxInsts instructions. */
     iss::RunResult run(InstCount maxInsts) override;
 
+    /** Fresh-engine state at @p entry: empty uop cache and host TLB,
+     *  no block in flight, zeroed statistics. The chaining and fast
+     *  path settings and the block hook are kept. */
+    void reset(Addr entry) override;
+
     /** Drop every uop (fence.i, satp change, cache full). Also shoots
      *  down the host-pointer TLB. */
     void flushUopCache();

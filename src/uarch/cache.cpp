@@ -1,5 +1,7 @@
 #include "uarch/cache.h"
 
+#include <algorithm>
+
 #include "common/bitutil.h"
 #include "common/log.h"
 
@@ -81,6 +83,18 @@ Cache::flushAll()
         l.st = CohState::I;
     for (auto &m : mshrs_)
         m.line = ~0ULL;
+}
+
+void
+Cache::reset()
+{
+    for (unsigned set : touchedSets_)
+        std::fill_n(lines_.begin() + static_cast<long>(set) * cfg_.ways,
+                    cfg_.ways, Line{});
+    touchedSets_.clear();
+    std::fill(mshrs_.begin(), mshrs_.end(), Mshr{});
+    tick_ = 0;
+    stats_ = {};
 }
 
 void
@@ -175,6 +189,8 @@ unsigned
 Cache::install(Addr line, CohState st, Cycle now)
 {
     unsigned set = setIndex(line);
+    if (lines_[static_cast<size_t>(set) * cfg_.ways].lru == 0)
+        touchedSets_.push_back(set);
     Line *victim = nullptr;
     for (unsigned w = 0; w < cfg_.ways; ++w) {
         Line &l = lines_[static_cast<size_t>(set) * cfg_.ways + w];

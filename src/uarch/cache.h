@@ -78,10 +78,15 @@ struct DramCfg
 class DramModel
 {
   public:
-    explicit DramModel(const DramCfg &cfg) : cfg_(cfg)
+    explicit DramModel(const DramCfg &cfg) : cfg_(cfg) { reset(); }
+
+    /** Power-on state: idle channels, no open rows. */
+    void
+    reset()
     {
-        busy_.assign(cfg.channels, 0);
-        openRow_.assign(cfg.channels, ~0ULL);
+        busy_.assign(cfg_.channels, 0);
+        openRow_.assign(cfg_.channels, ~0ULL);
+        accesses_ = 0;
     }
 
     /** Latency of an access issued at @p now. */
@@ -145,6 +150,13 @@ class Cache
 
     /** Invalidate everything (used by checkpoint restore). */
     void flushAll();
+
+    /**
+     * Power-on state: no lines, idle MSHRs, zeroed statistics;
+     * transaction observers stay installed. Costs only the sets
+     * filled since the last reset.
+     */
+    void reset();
 
     const CacheStats &stats() const { return stats_; }
     const std::string &name() const { return name_; }
@@ -214,6 +226,10 @@ class Cache
     DramModel *dram_;
     std::vector<Cache *> children_;
     std::vector<Line> lines_;
+    /** Sets installed into since the last reset. A set is untouched
+     *  while its way 0 has lru 0: installs fill the first invalid way
+     *  and always stamp a nonzero lru. */
+    std::vector<unsigned> touchedSets_;
     std::vector<Mshr> mshrs_;
     unsigned sets_;
     Addr lineMask_;

@@ -95,6 +95,21 @@ MemHierarchy::flushTlbs(HartId core)
 }
 
 void
+MemHierarchy::reset()
+{
+    dram_->reset();
+    if (l3_)
+        l3_->reset();
+    for (auto *level : {&l2_, &l1plus_, &l1i_, &l1d_})
+        for (auto &c : *level)
+            c->reset();
+    stlb_->reset();
+    for (auto *paths : {&itlb_, &dtlb_})
+        for (auto &p : *paths)
+            p->reset();
+}
+
+void
 MemHierarchy::setTxnLog(TxnLog log)
 {
     if (l3_) {

@@ -55,6 +55,10 @@ class MemHierarchy
     /** sfence.vma analogue on the timing TLBs. */
     void flushTlbs(HartId core);
 
+    /** Power-on state of every cache, TLB and the DRAM model, as
+     *  freshly constructed; transaction observers stay installed. */
+    void reset();
+
     void setTxnLog(TxnLog log);
 
     /** Add an observer without disturbing installed ones. */

@@ -24,14 +24,28 @@ fold(uint64_t hist, unsigned len, unsigned bits)
 constexpr unsigned Tage::HIST_LEN[Tage::N_TABLES];
 
 Tage::Tage(unsigned totalEntries, uint64_t seed)
-    : entriesPerTable_(totalEntries / N_TABLES), rngState_(seed | 1)
+    : entriesPerTable_(totalEntries / N_TABLES), seed_(seed)
 {
     indexBits_ = log2i(entriesPerTable_);
     for (auto &t : tables_)
         t.resize(entriesPerTable_);
-    base_.assign(8192, 0);
+    base_.resize(8192);
     for (auto &t : sc_)
-        t.assign(SC_ENTRIES, 0);
+        t.resize(SC_ENTRIES);
+    reset();
+}
+
+void
+Tage::reset()
+{
+    for (auto &t : tables_)
+        std::fill(t.begin(), t.end(), TaggedEntry{});
+    std::fill(base_.begin(), base_.end(), 0);
+    for (auto &t : sc_)
+        std::fill(t.begin(), t.end(), 0);
+    ghr_ = 0;
+    rngState_ = seed_ | 1;
+    lookups_ = mispredicts_ = 0;
 }
 
 unsigned
@@ -182,6 +196,15 @@ Ittage::Ittage(unsigned entries) : entries_(entries / 2)
     base_.assign(entries_, 0);
 }
 
+void
+Ittage::reset()
+{
+    for (auto &t : tables_)
+        std::fill(t.begin(), t.end(), Entry{});
+    std::fill(base_.begin(), base_.end(), 0);
+    pathHist_ = 0;
+}
+
 unsigned
 Ittage::idx(unsigned t, Addr pc) const
 {
@@ -262,6 +285,14 @@ Ittage::pushHistory(Addr target)
 Btb::Btb(unsigned entries, unsigned ways)
     : sets_(entries / ways), ways_(ways), table_(entries)
 {
+}
+
+void
+Btb::reset()
+{
+    std::fill(table_.begin(), table_.end(), Entry{});
+    tick_ = 0;
+    hits_ = misses_ = 0;
 }
 
 bool

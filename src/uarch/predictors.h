@@ -13,6 +13,7 @@
 #ifndef MINJIE_UARCH_PREDICTORS_H
 #define MINJIE_UARCH_PREDICTORS_H
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -61,6 +62,9 @@ class Tage
     /** Fetch-time history push with the actual direction. */
     void pushHistory(bool taken);
 
+    /** Power-on state: empty tables and history, counters zeroed. */
+    void reset();
+
     uint64_t lookups() const { return lookups_; }
     uint64_t mispredicts() const { return mispredicts_; }
 
@@ -92,6 +96,7 @@ class Tage
     std::vector<int8_t> sc_[SC_TABLES];
     int scThreshold_ = 6;
 
+    uint64_t seed_;
     uint64_t rngState_;
     mutable uint64_t lookups_ = 0;
     uint64_t mispredicts_ = 0;
@@ -119,6 +124,9 @@ class Ittage
     void update(const IndirectPred &pred, Addr target);
     /** Fetch-time path-history push with the actual target. */
     void pushHistory(Addr target);
+
+    /** Power-on state: empty tables and history. */
+    void reset();
 
   private:
     struct Entry
@@ -157,6 +165,9 @@ class MicroBtb
         return false;
     }
 
+    /** Power-on state: every entry invalid. */
+    void reset() { std::fill(table_.begin(), table_.end(), Entry{}); }
+
     void
     update(Addr pc, Addr target, bool taken)
     {
@@ -192,6 +203,9 @@ class Btb
 
     bool predict(Addr pc, Addr &target) const;
     void update(Addr pc, Addr target);
+
+    /** Power-on state: every entry invalid, counters zeroed. */
+    void reset();
 
     uint64_t hits() const { return hits_; }
     uint64_t misses() const { return misses_; }
@@ -239,6 +253,14 @@ class Ras
     }
 
     unsigned size() const { return size_; }
+
+    /** Power-on state: empty stack. */
+    void
+    reset()
+    {
+        std::fill(stack_.begin(), stack_.end(), 0);
+        top_ = size_ = 0;
+    }
 
   private:
     std::vector<Addr> stack_;

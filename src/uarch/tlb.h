@@ -10,6 +10,7 @@
 #ifndef MINJIE_UARCH_TLB_H
 #define MINJIE_UARCH_TLB_H
 
+#include <algorithm>
 #include <vector>
 
 #include "common/types.h"
@@ -43,6 +44,19 @@ class TimingTlb
         entries_.assign(cfg.entries, {});
     }
 
+    /** Power-on state: empty, zeroed statistics. Costs only the sets
+     *  inserted into since the last reset. */
+    void
+    reset()
+    {
+        for (unsigned set : touchedSets_)
+            std::fill_n(entries_.begin() + static_cast<long>(set) * ways_,
+                        ways_, Entry{});
+        touchedSets_.clear();
+        tick_ = 0;
+        stats_ = {};
+    }
+
     bool
     lookup(Addr vpn)
     {
@@ -63,6 +77,9 @@ class TimingTlb
     insert(Addr vpn)
     {
         unsigned set = static_cast<unsigned>(vpn % sets_);
+        // Way 0 keeps lru 0 until its set's first insert (see reset).
+        if (entries_[static_cast<size_t>(set) * ways_].lru == 0)
+            touchedSets_.push_back(set);
         Entry *victim = nullptr;
         for (unsigned w = 0; w < ways_; ++w) {
             Entry &e = entries_[static_cast<size_t>(set) * ways_ + w];
@@ -98,6 +115,7 @@ class TimingTlb
     TlbCfg cfg_;
     unsigned sets_, ways_;
     std::vector<Entry> entries_;
+    std::vector<unsigned> touchedSets_; ///< inserted since reset()
     uint64_t tick_ = 0;
     TlbStats stats_;
 };
@@ -133,6 +151,10 @@ class TlbPath
     }
 
     void flush() { l1_.flush(); }
+
+    /** Power-on state of the L1 level (the shared STLB resets with
+     *  its owner). */
+    void reset() { l1_.reset(); }
 
     TimingTlb &l1() { return l1_; }
 

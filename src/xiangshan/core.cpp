@@ -62,13 +62,7 @@ Core::Core(const CoreConfig &cfg, HartId hart, iss::System &sys,
       ubtb_(cfg.ubtbEntries), btb_(cfg.btbEntries), tage_(cfg.tageEntries),
       ittage_(512), ras_(cfg.rasDepth)
 {
-    oracle_.reset(entry, hart);
-    oracle_.csr.timeSrc = nullptr;
     mmu_.bindDram(&sys.dram);
-    renameMap_.assign(64, 0);
-    for (unsigned i = 0; i < N_FU; ++i)
-        fuBusyUntil_[i].assign(cfg_.fu[i].pipelined ? 0 : cfg_.fu[i].count,
-                               0);
 
     // Scoreboard window: live seqs span at most robSize +
     // fetchBufferSize consecutive values (every allocated seq sits in
@@ -81,15 +75,74 @@ Core::Core(const CoreConfig &cfg, HartId hart, iss::System &sys,
         cap <<= 1;
     winMask_ = cap - 1;
     recRing_.resize(cap);
-    rob_.init(cfg_.robSize + 1);
-    fetchBuffer_.init(cfg_.fetchBufferSize + 1);
     decodeCache_.resize(kDecodeCacheSize);
-    readyBits_.assign((cap + 63) / 64, 0);
-    pendingSrcs_.assign(cap, 0);
-    slotFu_.assign(cap, 0);
-    slotSeq_.assign(cap, 0);
-    waiters_.assign(cap, {});
-    skipEnabled_ = cfg_.model.skipAhead;
+    readyBits_.resize((cap + 63) / 64);
+    pendingSrcs_.resize(cap);
+    slotFu_.resize(cap);
+    slotSeq_.resize(cap);
+    waiters_.resize(cap);
+    reset(entry);
+}
+
+void
+Core::reset(Addr entry)
+{
+    oracle_ = iss::ArchState{};
+    oracle_.reset(entry, hart_);
+    mmu_.reset();
+    oracleHalted_ = false;
+
+    ubtb_.reset();
+    btb_.reset();
+    tage_.reset();
+    ittage_.reset();
+    ras_.reset();
+    fetchBuffer_.init(cfg_.fetchBufferSize + 1);
+    fetchResumeAt_ = 0;
+    mispredictWaitSeq_ = 0;
+    serializeWaitSeq_ = 0;
+
+    // recRing_ payloads are rewritten at fetch before any use, and
+    // decodeCache_ memoizes a pure function: neither needs clearing.
+    rob_.init(cfg_.robSize + 1);
+    nextSeq_ = 1;
+    lastCommittedSeq_ = 0;
+    renameMap_.assign(64, 0);
+    lqUsed_ = sqUsed_ = 0;
+    intPrfUsed_ = fpPrfUsed_ = 0;
+    for (unsigned i = 0; i < N_FU; ++i) {
+        rs_[i].clear();
+        fuBusyUntil_[i].assign(cfg_.fu[i].pipelined ? 0 : cfg_.fu[i].count,
+                               0);
+        readyQ_[i].clear();
+        rsCount_[i] = 0;
+    }
+    storeBuffer_.clear();
+    inflightStores_.clear();
+
+    std::fill(readyBits_.begin(), readyBits_.end(), 0);
+    compHeap_.clear();
+    nextCycleQ_.clear();
+    std::fill(pendingSrcs_.begin(), pendingSrcs_.end(), 0);
+    std::fill(slotFu_.begin(), slotFu_.end(), 0);
+    std::fill(slotSeq_.begin(), slotSeq_.end(), 0);
+    for (auto &w : waiters_)
+        w.clear();
+
+    skipEnabled_ = cfg_.model.skipAhead && !peers_;
+    lastTickIdle_ = false;
+    skippedCycles_ = 0;
+    skipJumps_ = 0;
+    idleSnap_ = {};
+    commitBatch_.clear();
+    readyScratch_.clear();
+
+    faultMask_ = 0;
+    injectPageFault_ = false;
+    commitFaultMask_ = 0;
+    dropStorePending_ = false;
+    now_ = 0;
+    perf_ = {};
 }
 
 void

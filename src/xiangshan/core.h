@@ -105,6 +105,14 @@ class Core
          uarch::MemHierarchy &mem, Addr entry);
 
     /**
+     * Return to the freshly constructed state at reset pc @p entry:
+     * oracle, predictors, pipeline, counters and pending fault
+     * injections. Hooks, peers and the tracer stay attached; the
+     * shared memory hierarchy resets with its owner (Soc::reset).
+     */
+    void reset(Addr entry);
+
+    /**
      * Advance one cycle — or more: with event-driven skip-ahead
      * enabled, a provably idle cycle fast-forwards to the next cycle
      * any stage can make progress, charging every skipped cycle to the

@@ -19,6 +19,15 @@ Soc::Soc(const CoreConfig &cfg, unsigned nCores, uint64_t dramMb)
 }
 
 void
+Soc::reset()
+{
+    sys_.reset();
+    mem_->reset();
+    for (auto &core : cores_)
+        core->reset(iss::DRAM_BASE);
+}
+
+void
 Soc::setEntry(Addr entry)
 {
     for (unsigned c = 0; c < cores_.size(); ++c)

@@ -32,6 +32,14 @@ class Soc
     /** Set every core's reset pc (call before running). */
     void setEntry(Addr entry);
 
+    /**
+     * Return to the freshly constructed state: empty DRAM, power-on
+     * devices, memory hierarchy and cores (reset pc DRAM_BASE; call
+     * setEntry() after loading a program). Hooks stay attached, so a
+     * DiffTest over this SoC resets alongside it.
+     */
+    void reset();
+
     struct RunResult
     {
         Cycle cycles = 0;

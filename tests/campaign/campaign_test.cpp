@@ -114,24 +114,41 @@ TEST(Campaign, ShrinkerConvergesOnInjectedBug)
 
 TEST(Campaign, ResultsAreInvariantUnderWorkerCount)
 {
-    CampaignConfig one = buggyConfig(120, 1);
-    CampaignConfig eight = buggyConfig(120, 8);
-    CampaignReport a = runCampaign(one);
-    CampaignReport b = runCampaign(eight);
-
-    ASSERT_EQ(a.failures, b.failures);
+    // Each worker reuses one rig, so the jobs a rig runs (and their
+    // order) change with the worker count; the results must not.
+    auto config = [](unsigned workers) {
+        CampaignConfig cfg = buggyConfig(120, workers);
+        cfg.difftestPct = 20;
+        cfg.perf = true;
+        return cfg;
+    };
+    CampaignReport a = runCampaign(config(1));
     ASSERT_GT(a.failures, 10u);
-    ASSERT_EQ(a.buckets.size(), b.buckets.size());
-    for (size_t i = 0; i < a.buckets.size(); ++i) {
-        EXPECT_EQ(a.buckets[i].signature, b.buckets[i].signature);
-        EXPECT_EQ(a.buckets[i].repSeed, b.buckets[i].repSeed);
-        EXPECT_EQ(a.buckets[i].seeds, b.buckets[i].seeds);
-    }
-    ASSERT_EQ(a.results.size(), b.results.size());
-    for (size_t i = 0; i < a.results.size(); ++i) {
-        EXPECT_EQ(a.results[i].seed, b.results[i].seed);
-        EXPECT_EQ(a.results[i].failed, b.results[i].failed);
-        EXPECT_EQ(a.results[i].signature, b.results[i].signature);
+    std::string perfTotal = a.perfCounters().toJson();
+    ASSERT_NE(a.perfCounters().get("dut.jobs"), 0u);
+    for (unsigned workers : {2u, 3u, 8u}) {
+        SCOPED_TRACE(workers);
+        CampaignReport b = runCampaign(config(workers));
+        ASSERT_EQ(a.failures, b.failures);
+        ASSERT_EQ(a.buckets.size(), b.buckets.size());
+        for (size_t i = 0; i < a.buckets.size(); ++i) {
+            EXPECT_EQ(a.buckets[i].signature, b.buckets[i].signature);
+            EXPECT_EQ(a.buckets[i].repSeed, b.buckets[i].repSeed);
+            EXPECT_EQ(a.buckets[i].seeds, b.buckets[i].seeds);
+        }
+        ASSERT_EQ(a.results.size(), b.results.size());
+        for (size_t i = 0; i < a.results.size(); ++i) {
+            const JobResult &x = a.results[i], &y = b.results[i];
+            EXPECT_EQ(x.seed, y.seed);
+            EXPECT_EQ(x.kind, y.kind);
+            EXPECT_EQ(x.steps, y.steps);
+            EXPECT_EQ(x.failed, y.failed);
+            EXPECT_EQ(x.signature, y.signature);
+            EXPECT_EQ(x.detail, y.detail);
+            EXPECT_EQ(x.perf.cycles, y.perf.cycles);
+            EXPECT_EQ(x.perf.instrs, y.perf.instrs);
+        }
+        EXPECT_EQ(perfTotal, b.perfCounters().toJson());
     }
 }
 

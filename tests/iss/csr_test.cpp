@@ -135,4 +135,19 @@ TEST(CsrFile, HpmCountersReadZero)
     EXPECT_TRUE(csr.write(0x323, Priv::M, 42));
 }
 
+TEST(CsrFile, ResetRestoresPowerOnPmp)
+{
+    // A reset file must read like a fresh one: reused engines reset
+    // their CSRs between programs.
+    CsrFile csr;
+    ASSERT_TRUE(csr.write(CSR_PMPCFG0, Priv::M, 0x1f));
+    ASSERT_TRUE(csr.write(CSR_PMPADDR0, Priv::M, 0x1234));
+    csr.reset(0);
+    uint64_t cfg = 1, addr = 1;
+    EXPECT_TRUE(csr.read(CSR_PMPCFG0, Priv::M, cfg));
+    EXPECT_TRUE(csr.read(CSR_PMPADDR0, Priv::M, addr));
+    EXPECT_EQ(cfg, 0u);
+    EXPECT_EQ(addr, 0u);
+}
+
 } // namespace

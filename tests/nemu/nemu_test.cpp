@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "common/clock.h"
 #include "nemu/nemu.h"
@@ -119,6 +120,95 @@ TEST(Nemu, StepPathMatchesFastPath)
     EXPECT_EQ(ra.executed, rb.executed);
     for (int i = 0; i < 32; ++i)
         EXPECT_EQ(fast.state().x[i], stepper.state().x[i]) << "x" << i;
+}
+
+/**
+ * A loop whose every iteration calls unmapped 0x1000: the fetch faults
+ * and the handler resumes at the return address, so each iteration
+ * retires one faulting fetch besides its own instructions.
+ */
+wl::Program
+fetchFaultProgram(unsigned iterations)
+{
+    wl::Asm a(0x80000000);
+    wl::Label loop = a.newLabel();
+    a.li(wl::t0, 0x80001000);
+    a.csr(isa::Op::Csrrw, wl::zero, isa::CSR_MTVEC, wl::t0);
+    a.li(wl::s0, iterations);
+    a.li(wl::s1, 0x1000); // no device or memory here
+    a.bind(loop);
+    a.itype(isa::Op::Jalr, wl::ra, wl::s1, 0);
+    a.itype(isa::Op::Addi, wl::s0, wl::s0, -1);
+    a.branch(isa::Op::Bne, wl::s0, wl::zero, loop);
+    a.exit(0);
+    while (a.here() < 0x80001000)
+        a.nop();
+    a.csr(isa::Op::Csrrw, wl::zero, isa::CSR_MEPC, wl::ra);
+    a.itype(isa::Op::Mret, 0, 0, 0);
+
+    wl::Program prog;
+    prog.entry = a.base();
+    prog.segments.push_back(a.finish());
+    return prog;
+}
+
+/** pc after every single-instruction run() until the program exits. */
+template <typename Engine>
+std::vector<Addr>
+pcTrace(Engine &e, System &sys, bool baseRun)
+{
+    std::vector<Addr> pcs;
+    for (int i = 0; i < 10'000 && !sys.simctrl.exited(); ++i) {
+        auto r = baseRun ? e.Interp::run(1) : e.run(1);
+        EXPECT_EQ(r.executed, 1u);
+        pcs.push_back(e.state().pc);
+    }
+    return pcs;
+}
+
+TEST(Nemu, FetchFaultCountsAsOneStep)
+{
+    auto prog = fetchFaultProgram(50);
+    auto fresh = [&](System &sys) {
+        prog.loadInto(sys.dram);
+        return std::make_unique<Nemu>(sys.bus, sys.dram, 0, prog.entry);
+    };
+
+    // Reference: the step path through Interp::run.
+    System sysRef(32);
+    auto ref = fresh(sysRef);
+    ref->setHaltFn([&] { return sysRef.simctrl.exited(); });
+    auto rr = ref->Interp::run(100'000);
+    ASSERT_TRUE(rr.halted);
+    EXPECT_EQ(rr.executed, 313u); // 263 instructions + 50 faults
+    EXPECT_EQ(ref->state().instret, rr.executed);
+
+    for (bool chain : {true, false}) {
+        SCOPED_TRACE(chain ? "chained" : "unchained");
+        for (InstCount n : {InstCount{100'000}, InstCount{7}}) {
+            System sys(32);
+            auto nemu = fresh(sys);
+            nemu->setChainingEnabled(chain);
+            nemu->setHaltFn([&] { return sys.simctrl.exited(); });
+            InstCount executed = 0;
+            while (!sys.simctrl.exited() && executed < 100'000)
+                executed += nemu->run(n).executed;
+            EXPECT_EQ(executed, rr.executed) << "run(" << n << ")";
+            EXPECT_EQ(nemu->state().instret, rr.executed);
+            EXPECT_EQ(nemu->state().csr.minstret, rr.executed);
+        }
+
+        // run(1) stepping retires the same pc sequence as the step
+        // path: the faulting fetch is its own step.
+        System sysA(32), sysB(32);
+        auto stepped = fresh(sysA);
+        stepped->setChainingEnabled(chain);
+        auto base = fresh(sysB);
+        auto fast = pcTrace(*stepped, sysA, false);
+        EXPECT_EQ(fast, pcTrace(*base, sysB, true));
+        EXPECT_EQ(fast.size(), rr.executed);
+        EXPECT_EQ(stepped->state().instret, rr.executed);
+    }
 }
 
 TEST(Nemu, UopCacheFlushOnFenceI)
